@@ -8,7 +8,8 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use rte_tensor::conv::{
-    conv2d, conv2d_backward, conv2d_backward_with, conv2d_with, pixel_shuffle, Conv2dSpec,
+    col2im, conv2d, conv2d_backward, conv2d_backward_with, conv2d_with, im2col, pixel_shuffle,
+    Conv2dSpec,
 };
 use rte_tensor::linalg::{matmul, matmul_naive};
 use rte_tensor::parallel::Parallelism;
@@ -30,19 +31,70 @@ fn arms() -> Vec<SimdBackend> {
     arms
 }
 
+/// FLNet's two convolutions at scaled capacity (9×9 "same" kernels on
+/// 16×16 maps, batch 4): the input conv 6→16 and the output conv 16→1.
+const FLNET_CONVS: [(&str, usize, usize); 2] = [("flnet_input", 6, 16), ("flnet_output", 16, 1)];
+
+/// Input, weight, bias and output-gradient tensors of one FLNet conv.
+fn flnet_conv_operands(c_in: usize, c_out: usize) -> (Tensor, Tensor, Tensor, Tensor) {
+    let x = rand_tensor(&[4, c_in, 16, 16], 1);
+    let w = rand_tensor(&[c_out, c_in, 9, 9], 2);
+    let b = rand_tensor(&[c_out], 3);
+    let dy = rand_tensor(&[4, c_out, 16, 16], 4);
+    (x, w, b, dy)
+}
+
 fn bench_conv2d(c: &mut Criterion) {
-    // FLNet's input conv at scaled capacity: 6→16 channels, 9×9, 16×16.
-    let x = rand_tensor(&[4, 6, 16, 16], 1);
-    let w = rand_tensor(&[16, 6, 9, 9], 2);
-    let b = rand_tensor(&[16], 3);
     let spec = Conv2dSpec::same(9);
-    c.bench_function("conv2d_forward_flnet_input", |bench| {
-        bench.iter(|| conv2d(black_box(&x), black_box(&w), Some(&b), spec).unwrap())
-    });
-    let y = conv2d(&x, &w, Some(&b), spec).unwrap();
-    c.bench_function("conv2d_backward_flnet_input", |bench| {
-        bench.iter(|| conv2d_backward(black_box(&x), black_box(&w), black_box(&y), spec).unwrap())
-    });
+    for (name, c_in, c_out) in FLNET_CONVS {
+        let (x, w, b, dy) = flnet_conv_operands(c_in, c_out);
+        c.bench_function(&format!("conv2d_forward_{name}"), |bench| {
+            bench.iter(|| conv2d(black_box(&x), black_box(&w), Some(&b), spec).unwrap())
+        });
+        c.bench_function(&format!("conv2d_backward_{name}"), |bench| {
+            bench.iter(|| {
+                conv2d_backward(black_box(&x), black_box(&w), black_box(&dy), spec).unwrap()
+            })
+        });
+    }
+}
+
+/// The lowering `conv2d_with` replaced, rebuilt from the public
+/// primitives for the before/after rows of `BENCH_kernels.json`: per
+/// batch item, `im2col` into a full `c_in·kh·kw × oh·ow` matrix, then
+/// the GEMM (forward), or `Wᵀ·dY` + `col2im` and `im2col` + the
+/// `dY·colᵀ` GEMM (backward). Serial, on one explicit arm; the bias
+/// terms, identical in both lowerings, are left out.
+fn conv_via_im2col(arm: SimdBackend, x: &Tensor, w: &Tensor, dy: Option<&Tensor>) {
+    let (n, c_in, h, wd) = (x.dim(0), x.dim(1), x.dim(2), x.dim(3));
+    let (c_out, k) = (w.dim(0), w.dim(2));
+    let spec = Conv2dSpec::same(k);
+    let (ckk, hw, img) = (c_in * k * k, h * wd, c_in * h * wd);
+    let mut col = vec![0.0f32; ckk * hw];
+    let mut out = vec![0.0f32; c_out * hw];
+    let mut dx = vec![0.0f32; img];
+    let mut dw = vec![0.0f32; c_out * ckk];
+    for ni in 0..n {
+        im2col(
+            &x.data()[ni * img..(ni + 1) * img],
+            c_in,
+            h,
+            wd,
+            k,
+            k,
+            spec,
+            &mut col,
+        );
+        let Some(dy) = dy else {
+            simd::matmul_with(arm, w.data(), &col, c_out, ckk, hw, &mut out);
+            continue;
+        };
+        let dy_n = &dy.data()[ni * c_out * hw..(ni + 1) * c_out * hw];
+        simd::matmul_nt_acc_with(arm, dy_n, &col, c_out, hw, ckk, &mut dw);
+        simd::matmul_tn_with(arm, w.data(), dy_n, ckk, c_out, hw, &mut col);
+        col2im(&col, c_in, h, wd, k, k, spec, &mut dx);
+    }
+    black_box((&out, &dx, &dw));
 }
 
 fn bench_matmul(c: &mut Criterion) {
@@ -270,12 +322,44 @@ struct JsonEntry {
     arm: &'static str,
     ns_per_iter: f64,
     speedup_vs_scalar: f64,
+    /// For the conv rows: the same work through the materialized
+    /// im2col lowering (`conv_via_im2col`) on the same arm.
+    im2col_ns_per_iter: Option<f64>,
 }
 
-/// Measures the GEMM family and the hot elementwise sweeps on every
-/// available arm and writes `BENCH_kernels.json` (override the path with
-/// `RTE_BENCH_JSON`) so the perf trajectory is machine-trackable from PR
-/// to PR.
+/// `nproc`, CPU model and SIMD flags of the measuring machine, as one
+/// JSON object (Linux `/proc/cpuinfo`; fields are empty elsewhere).
+fn machine_json() -> String {
+    let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
+    let field = |key: &str| {
+        cpuinfo
+            .lines()
+            .find(|l| l.starts_with(key))
+            .and_then(|l| l.split(':').nth(1))
+            .map(|v| v.trim().to_string())
+            .unwrap_or_default()
+    };
+    let flags = field("flags");
+    let simd_flags: Vec<&str> = flags
+        .split_whitespace()
+        .filter(|f| ["fma", "avx2", "avx512f"].contains(f))
+        .collect();
+    let nproc = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    format!(
+        "{{\"nproc\": {nproc}, \"cpu\": \"{}\", \"simd_flags\": \"{}\"}}",
+        field("model name"),
+        simd_flags.join(" ")
+    )
+}
+
+/// Measures the GEMM family, the hot elementwise sweeps and FLNet's two
+/// convolutions (forward and backward, serial, in place and through the
+/// im2col lowering they replaced) on every available arm, and writes
+/// `BENCH_kernels.json` with the machine's fingerprint (override the
+/// path with `RTE_BENCH_JSON`) so the perf trajectory is
+/// machine-trackable from PR to PR.
 ///
 /// Skipped when a bench filter is passed (`cargo bench --bench kernels
 /// -- <name>`): a targeted run should neither pay the full sweep nor
@@ -359,10 +443,48 @@ fn emit_kernels_json(_c: &mut Criterion) {
                 })
             }),
         ];
-        for (kernel, shape, ns) in cases {
+        let mut cases: Vec<(&'static str, String, f64, Option<f64>)> = cases
+            .into_iter()
+            .map(|(kernel, shape, ns)| (kernel, shape, ns, None))
+            .collect();
+        let before = simd::global();
+        simd::set_global(arm);
+        let spec = Conv2dSpec::same(9);
+        for (kernel, c_in, c_out) in [
+            ("conv2d_fwd", 6, 16),
+            ("conv2d_bwd", 6, 16),
+            ("conv2d_fwd", 16, 1),
+            ("conv2d_bwd", 16, 1),
+        ] {
+            let (x, w, b, dy) = flnet_conv_operands(c_in, c_out);
+            let serial = Parallelism::serial();
+            let (ns, im2col_ns) = if kernel == "conv2d_fwd" {
+                (
+                    measure_ns(|| {
+                        black_box(conv2d_with(black_box(&x), &w, Some(&b), spec, serial).unwrap());
+                    }),
+                    measure_ns(|| conv_via_im2col(arm, black_box(&x), &w, None)),
+                )
+            } else {
+                (
+                    measure_ns(|| {
+                        black_box(
+                            conv2d_backward_with(black_box(&x), &w, &dy, spec, serial).unwrap(),
+                        );
+                    }),
+                    measure_ns(|| conv_via_im2col(arm, black_box(&x), &w, Some(&dy))),
+                )
+            };
+            let shape = format!("4x{c_in}x16x16->{c_out} k9");
+            cases.push((kernel, shape, ns, Some(im2col_ns)));
+        }
+        simd::set_global(before);
+        for (kernel, shape, ns, im2col_ns) in cases {
             let baseline = entries
                 .iter()
-                .find(|e| e.kernel == kernel && e.arm == SimdBackend::Scalar.name())
+                .find(|e| {
+                    e.kernel == kernel && e.shape == shape && e.arm == SimdBackend::Scalar.name()
+                })
                 .map(|e| e.ns_per_iter)
                 .unwrap_or(ns);
             entries.push(JsonEntry {
@@ -371,14 +493,24 @@ fn emit_kernels_json(_c: &mut Criterion) {
                 arm: arm.name(),
                 ns_per_iter: ns,
                 speedup_vs_scalar: baseline / ns,
+                im2col_ns_per_iter: im2col_ns,
             });
         }
     }
-    let mut json = String::from("[\n");
+    let mut json = format!("{{\n\"machine\": {},\n\"kernels\": [\n", machine_json());
     for (i, e) in entries.iter().enumerate() {
+        let before = e
+            .im2col_ns_per_iter
+            .map(|b| {
+                format!(
+                    ", \"im2col_ns_per_iter\": {b:.1}, \"speedup_vs_im2col\": {:.3}",
+                    b / e.ns_per_iter
+                )
+            })
+            .unwrap_or_default();
         json.push_str(&format!(
             "  {{\"kernel\": \"{}\", \"shape\": \"{}\", \"arm\": \"{}\", \
-             \"ns_per_iter\": {:.1}, \"speedup_vs_scalar\": {:.3}}}{}\n",
+             \"ns_per_iter\": {:.1}, \"speedup_vs_scalar\": {:.3}{before}}}{}\n",
             e.kernel,
             e.shape,
             e.arm,
@@ -387,7 +519,7 @@ fn emit_kernels_json(_c: &mut Criterion) {
             if i + 1 == entries.len() { "" } else { "," }
         ));
     }
-    json.push_str("]\n");
+    json.push_str("]\n}\n");
     // Default to the workspace root (cargo runs benches from the
     // package dir) so the tracked perf trajectory lives next to the
     // README; `RTE_BENCH_JSON` overrides.
@@ -399,8 +531,12 @@ fn emit_kernels_json(_c: &mut Criterion) {
         Err(e) => eprintln!("bench: could not write {path}: {e}"),
     }
     for e in &entries {
+        let before = e
+            .im2col_ns_per_iter
+            .map(|b| format!("  {:>6.2}x vs im2col", b / e.ns_per_iter))
+            .unwrap_or_default();
         println!(
-            "bench: json {:<14} {:>12} arm {:<6} {:>12.1} ns/iter  {:>6.2}x vs scalar",
+            "bench: json {:<14} {:>20} arm {:<6} {:>12.1} ns/iter  {:>6.2}x vs scalar{before}",
             e.kernel, e.shape, e.arm, e.ns_per_iter, e.speedup_vs_scalar
         );
     }

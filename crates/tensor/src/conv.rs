@@ -1,8 +1,16 @@
 //! 2-D convolution, transposed convolution, pooling and pixel-shuffle
 //! kernels in NCHW layout, with exact backward passes.
 //!
-//! Convolutions lower to [`crate::linalg`] matrix products via im2col /
-//! col2im. These are the primitives that the `rte-nn` layer types wrap with
+//! [`conv2d`] and its backward pass never materialize the im2col column
+//! matrix: each input image (or input-gradient image) is zero-padded
+//! once, and the [`crate::simd`] conv kernels read its *virtual* column
+//! matrix in place through a [`ColumnMap`], with per-element arithmetic
+//! identical to im2col + GEMM (see ARCHITECTURE.md rule 5). Scratch is
+//! one padded image per thread instead of a `c_in·kh·kw × oh·ow` buffer.
+//! The transposed convolution still lowers to [`crate::linalg`] products
+//! via [`im2col`] / [`col2im`], which also serve as the test oracle.
+//!
+//! These are the primitives that the `rte-nn` layer types wrap with
 //! parameter storage; they are exposed here as free functions so they can be
 //! benchmarked and property-tested in isolation.
 
@@ -10,13 +18,26 @@ use std::cell::RefCell;
 
 use crate::linalg::{matmul, matmul_nt_acc, matmul_tn};
 use crate::parallel::{self, Parallelism};
-use crate::simd;
+use crate::simd::{self, ColumnMap};
 use crate::{Tensor, TensorError};
 
 /// Minimum per-batch-item multiply count before the batch loop fans out
-/// to worker threads; below this, thread spawn overhead dominates and the
-/// kernels run inline (results are identical either way).
-const PAR_MIN_ITEM_FLOPS: usize = 1 << 16;
+/// to worker threads; below this the kernels run inline (results are
+/// identical either way).
+///
+/// Derived from the fork/join cost, measured on a 2-vCPU Xeon
+/// (AVX2 + AVX-512F, shared host): an empty 2-worker
+/// [`parallel::map_with`] costs 45–70 µs (median of 400 calls, three
+/// runs), and the in-place AVX2 conv items run at 10–16 multiplies/ns
+/// (the FLNet 6→16 forward, 1.99 M multiplies, takes ≈ 125 µs per
+/// item). Fanning a batch of four out to two workers saves at most two
+/// item-times, and on that host the second worker delivered 0.7–1.5×
+/// of a core, so an item should cost about two fork/joins (≈ 2 M
+/// multiplies) before it pays. With this value both FLNet-scaled convs
+/// (1.99 M and 0.33 M multiplies per item) stay serial; on `wire-fleet`
+/// that measured within noise of `1 << 16`, `1 << 19` and `1 << 22`
+/// (paired medians 1,278–1,470 samples/s, all ≥ 2× the im2col build).
+const PAR_MIN_ITEM_FLOPS: usize = 1 << 21;
 
 /// Degrades `par` to serial when each batch item is too small to pay for
 /// a thread spawn.
@@ -29,21 +50,23 @@ fn effective_parallelism(par: Parallelism, item_flops: usize) -> Parallelism {
 }
 
 std::thread_local! {
-    /// Per-thread im2col/col2im scratch, reused across kernel *calls* on
-    /// the single-threaded paths (the training loop convolves thousands
-    /// of times with identical geometry, so a per-call `Vec` is pure
-    /// allocator churn). Worker threads in the batch-parallel paths keep
-    /// their own per-worker buffers via the pool's `init` hook instead.
+    /// Per-thread scratch, reused across kernel *calls* on the
+    /// single-threaded paths (the training loop convolves thousands of
+    /// times with identical geometry, so a per-call `Vec` is pure
+    /// allocator churn): one padded image for [`conv2d`] and its
+    /// backward pass, the column matrix for the transposed convolution.
+    /// Worker threads in the batch-parallel paths keep their own
+    /// per-worker padded images via the pool's `init` hook instead.
     static COL_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Runs `f` on a thread-local scratch slice of exactly `len` elements.
 ///
 /// Contents are unspecified on entry — every caller overwrites the full
-/// slice (im2col writes padding explicitly; the matmuls zero their
-/// output). Falls back to a fresh allocation if the scratch is already
-/// borrowed (re-entrant kernels), so nesting degrades instead of
-/// panicking.
+/// slice (padding and im2col write every element, the input-gradient
+/// image is zeroed explicitly, the matmuls zero their output). Falls
+/// back to a fresh allocation if the scratch is already borrowed
+/// (re-entrant kernels), so nesting degrades instead of panicking.
 fn with_col_scratch<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
     COL_SCRATCH.with(|cell| match cell.try_borrow_mut() {
         Ok(mut buf) => {
@@ -340,7 +363,7 @@ pub fn conv2d(
 }
 
 /// [`conv2d`] with an explicit thread budget: batch items fan out to
-/// worker threads, each with its own im2col scratch buffer. Results are
+/// worker threads, each with its own padded-image scratch. Results are
 /// bit-identical for every `par` (each item's arithmetic is independent
 /// and written to a disjoint output slice).
 ///
@@ -371,22 +394,32 @@ pub fn conv2d_with(
             });
         }
     }
-    let oh = spec.out_extent(h, kh);
-    let ow = spec.out_extent(w_in, kw);
-    let ckk = c_in * kh * kw;
-    let ohw = oh * ow;
-    let mut y = Tensor::zeros(&[n, c_out, oh, ow]);
+    let mut y = Tensor::zeros(&[n, c_out, spec.out_extent(h, kh), spec.out_extent(w_in, kw)]);
+    let map = ColumnMap::new(
+        c_in,
+        h,
+        w_in,
+        kh,
+        kw,
+        spec.stride,
+        spec.padding,
+        spec.dilation,
+    );
+    let ohw = map.positions();
     if n == 0 || c_out == 0 {
         return Ok(y);
     }
     let x_data = x.data();
     let w_data = w.data();
     let b_data = bias.map(|b| b.data());
-    let par = effective_parallelism(par, c_out * ckk * ohw);
-    let item = |col: &mut [f32], ni: usize, y_n: &mut [f32]| {
-        let x_n = &x_data[ni * c_in * h * w_in..(ni + 1) * c_in * h * w_in];
-        im2col(x_n, c_in, h, w_in, kh, kw, spec, col);
-        matmul(w_data, col, c_out, ckk, ohw, y_n);
+    let arm = simd::global();
+    let par = effective_parallelism(par, c_out * map.taps() * ohw);
+    let item = |xpad: &mut [f32], ni: usize, y_n: &mut [f32]| {
+        map.pad(
+            &x_data[ni * map.image_len()..(ni + 1) * map.image_len()],
+            xpad,
+        );
+        simd::conv_forward_with(arm, w_data, xpad, &map, c_out, y_n);
         if let Some(b) = b_data {
             for co in 0..c_out {
                 let bv = b[co];
@@ -398,10 +431,10 @@ pub fn conv2d_with(
     };
     if par.workers_for(n) <= 1 {
         // Single-threaded: reuse the thread-local scratch across calls
-        // instead of allocating a fresh im2col buffer per forward pass.
-        with_col_scratch(ckk * ohw, |col| {
+        // instead of allocating a fresh padded image per forward pass.
+        with_col_scratch(map.padded_len(), |xpad| {
             for (ni, y_n) in y.data_mut().chunks_mut(c_out * ohw).enumerate() {
-                item(col, ni, y_n);
+                item(xpad, ni, y_n);
             }
         });
     } else {
@@ -409,8 +442,8 @@ pub fn conv2d_with(
             par,
             y.data_mut(),
             c_out * ohw,
-            || vec![0.0f32; ckk * ohw],
-            |col, ni, y_n| item(col, ni, y_n),
+            || vec![0.0f32; map.padded_len()],
+            |xpad, ni, y_n| item(xpad, ni, y_n),
         );
     }
     Ok(y)
@@ -478,8 +511,17 @@ pub fn conv2d_backward_with(
             ),
         });
     }
-    let ckk = c_in * kh * kw;
-    let ohw = oh * ow;
+    let map = ColumnMap::new(
+        c_in,
+        h,
+        w_in,
+        kh,
+        kw,
+        spec.stride,
+        spec.padding,
+        spec.dilation,
+    );
+    let ohw = map.positions();
     let mut dx = Tensor::zeros(&[n, c_in, h, w_in]);
     let mut dw = Tensor::zeros(&[c_out, c_in, kh, kw]);
     let mut db = Tensor::zeros(&[c_out]);
@@ -489,31 +531,35 @@ pub fn conv2d_backward_with(
     let x_data = x.data();
     let w_data = w.data();
     let dy_data = dy.data();
-    let par = effective_parallelism(par, c_out * ckk * ohw);
+    let arm = simd::global();
+    let par = effective_parallelism(par, c_out * map.taps() * ohw);
+    let x_at = |ni: usize| &x_data[ni * map.image_len()..(ni + 1) * map.image_len()];
+    let dy_at = |ni: usize| &dy_data[ni * c_out * ohw..(ni + 1) * c_out * ohw];
 
-    // Input gradient: dX_n = col2im(Wᵀ · dY_n), one disjoint slice per
-    // batch item, per-worker dcol scratch (thread-local scratch reused
-    // across calls when single-threaded). A zero-channel input (dx has
-    // no elements) trivially has no input gradient to compute.
-    if c_in * h * w_in > 0 {
-        let item = |dcol: &mut [f32], ni: usize, dx_n: &mut [f32]| {
-            let dy_n = &dy_data[ni * c_out * ohw..(ni + 1) * c_out * ohw];
-            matmul_tn(w_data, dy_n, ckk, c_out, ohw, dcol);
-            col2im(dcol, c_in, h, w_in, kh, kw, spec, dx_n);
+    // Input gradient: each tap's row of Wᵀ · dY_n is scattered into a
+    // zeroed padded image whose interior becomes dX_n — one disjoint
+    // slice per batch item, per-worker padded scratch (thread-local
+    // scratch reused across calls when single-threaded). A zero-channel
+    // input (dx has no elements) trivially has no input gradient.
+    if map.image_len() > 0 {
+        let item = |dxpad: &mut [f32], ni: usize, dx_n: &mut [f32]| {
+            dxpad.iter_mut().for_each(|v| *v = 0.0);
+            simd::conv_input_grad_with(arm, w_data, dy_at(ni), &map, c_out, dxpad);
+            map.crop(dxpad, dx_n);
         };
         if par.workers_for(n) <= 1 {
-            with_col_scratch(ckk * ohw, |dcol| {
-                for (ni, dx_n) in dx.data_mut().chunks_mut(c_in * h * w_in).enumerate() {
-                    item(dcol, ni, dx_n);
+            with_col_scratch(map.padded_len(), |dxpad| {
+                for (ni, dx_n) in dx.data_mut().chunks_mut(map.image_len()).enumerate() {
+                    item(dxpad, ni, dx_n);
                 }
             });
         } else {
             parallel::for_each_chunk_mut(
                 par,
                 dx.data_mut(),
-                c_in * h * w_in,
-                || vec![0.0f32; ckk * ohw],
-                |dcol, ni, dx_n| item(dcol, ni, dx_n),
+                map.image_len(),
+                || vec![0.0f32; map.padded_len()],
+                |dxpad, ni, dx_n| item(dxpad, ni, dx_n),
             );
         }
     }
@@ -522,21 +568,17 @@ pub fn conv2d_backward_with(
     // place in batch order (no extra buffers). In parallel, compute exact
     // per-item contributions concurrently and reduce them in batch order
     // on this thread. Both paths add the same per-item accumulators in
-    // the same order, so they are bit-identical — `matmul_nt_acc`
-    // computes each item's contribution into a local `acc` before the
-    // `+=`, whether the target is `dw` directly or a zeroed partial.
+    // the same order, so they are bit-identical — each weight element's
+    // per-item dot product is formed before its single `+=`, whether the
+    // target is `dw` directly or a zeroed partial. `dw` flattened as
+    // (c_out, c_in·kh·kw) is exactly the tensor's storage layout.
     if par.workers_for(n) <= 1 {
-        with_col_scratch(ckk * ohw, |col| {
+        with_col_scratch(map.padded_len(), |xpad| {
             for ni in 0..n {
-                let x_n = &x_data[ni * c_in * h * w_in..(ni + 1) * c_in * h * w_in];
-                let dy_n = &dy_data[ni * c_out * ohw..(ni + 1) * c_out * ohw];
-                // dW += dY_n · colᵀ; matmul_nt_acc needs dw flattened as
-                // (c_out, ckk), which is exactly the tensor's storage
-                // layout.
-                im2col(x_n, c_in, h, w_in, kh, kw, spec, col);
-                matmul_nt_acc(dy_n, col, c_out, ohw, ckk, dw.data_mut());
+                map.pad(x_at(ni), xpad);
+                simd::conv_weight_grad_with(arm, dy_at(ni), xpad, &map, c_out, dw.data_mut());
                 for co in 0..c_out {
-                    let s = simd::sum(&dy_n[co * ohw..(co + 1) * ohw]);
+                    let s = simd::sum(&dy_at(ni)[co * ohw..(co + 1) * ohw]);
                     db.data_mut()[co] += s;
                 }
             }
@@ -546,15 +588,13 @@ pub fn conv2d_backward_with(
         let partials = parallel::map_with(
             par,
             &batch,
-            || vec![0.0f32; ckk * ohw],
-            |col, _, &ni| {
-                let x_n = &x_data[ni * c_in * h * w_in..(ni + 1) * c_in * h * w_in];
-                let dy_n = &dy_data[ni * c_out * ohw..(ni + 1) * c_out * ohw];
-                im2col(x_n, c_in, h, w_in, kh, kw, spec, col);
-                let mut dw_n = vec![0.0f32; c_out * ckk];
-                matmul_nt_acc(dy_n, col, c_out, ohw, ckk, &mut dw_n);
+            || vec![0.0f32; map.padded_len()],
+            |xpad, _, &ni| {
+                map.pad(x_at(ni), xpad);
+                let mut dw_n = vec![0.0f32; c_out * map.taps()];
+                simd::conv_weight_grad_with(arm, dy_at(ni), xpad, &map, c_out, &mut dw_n);
                 let db_n: Vec<f32> = (0..c_out)
-                    .map(|co| simd::sum(&dy_n[co * ohw..(co + 1) * ohw]))
+                    .map(|co| simd::sum(&dy_at(ni)[co * ohw..(co + 1) * ohw]))
                     .collect();
                 (dw_n, db_n)
             },
@@ -1383,9 +1423,12 @@ mod tests {
         };
         // Large enough that the per-item work clears the spawn threshold,
         // so the multi-thread runs genuinely take the parallel path.
-        let x = rand_tensor(&[7, 8, 21, 19], 81);
-        let w = rand_tensor(&[16, 8, 5, 5], 82);
-        let b = rand_tensor(&[16], 83);
+        let x = rand_tensor(&[5, 8, 50, 47], 81);
+        let w = rand_tensor(&[24, 8, 5, 5], 82);
+        let b = rand_tensor(&[24], 83);
+        assert!(
+            24 * 8 * 25 * spec.out_extent(50, 5) * spec.out_extent(47, 5) >= PAR_MIN_ITEM_FLOPS
+        );
         let serial = conv2d_with(&x, &w, Some(&b), spec, Parallelism::serial()).unwrap();
         for threads in [2, 4, 16] {
             let par = conv2d_with(&x, &w, Some(&b), spec, Parallelism::new(threads)).unwrap();
@@ -1396,9 +1439,11 @@ mod tests {
     #[test]
     fn parallel_conv2d_backward_is_bit_identical_to_serial() {
         use crate::parallel::Parallelism;
-        let spec = Conv2dSpec::same(3);
-        let x = rand_tensor(&[5, 6, 14, 14], 91);
-        let w = rand_tensor(&[8, 6, 3, 3], 92);
+        let spec = Conv2dSpec::same(5);
+        // Clears the spawn threshold (see the forward test above).
+        let x = rand_tensor(&[3, 6, 32, 31], 91);
+        let w = rand_tensor(&[16, 6, 5, 5], 92);
+        const { assert!(16 * 6 * 25 * 32 * 31 >= PAR_MIN_ITEM_FLOPS) };
         let y = conv2d(&x, &w, None, spec).unwrap();
         let g = rand_tensor(y.shape().dims(), 93);
         let serial = conv2d_backward_with(&x, &w, &g, spec, Parallelism::serial()).unwrap();

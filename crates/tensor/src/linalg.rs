@@ -1,8 +1,10 @@
 //! Dense matrix multiplication primitives.
 //!
-//! The convolution kernels in [`crate::conv`] lower to these routines via
-//! im2col. All routines operate on row-major slices so they can run on
-//! scratch buffers without allocating.
+//! Dense row-major matrix products over caller-owned slices (no
+//! allocation). [`crate::conv`]'s transposed convolution lowers to them
+//! via im2col/col2im; the forward and backward of `conv2d` run the same
+//! schedules over a virtual column matrix instead (see
+//! [`crate::simd::ColumnMap`]), never materializing it.
 //!
 //! Since the SIMD backend landed, the production entry points here are
 //! thin dispatchers over [`crate::simd`]: the process-global

@@ -41,16 +41,17 @@
 //! ```
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// How many threads a parallel region may use.
 ///
-/// `threads == 0` means "ask the OS" ([`std::thread::available_parallelism`]);
-/// any other value is used as-is. The value is a *cap*: regions never spawn
+/// `threads == 0` means "ask the OS" ([`std::thread::available_parallelism`],
+/// read once per process); any other value is used as-is. The value is a *cap*: regions never spawn
 /// more workers than they have work items.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Parallelism {
     /// Worker-thread cap. `0` resolves to the machine's available
-    /// parallelism at use time.
+    /// parallelism, read once per process.
     pub threads: usize,
 }
 
@@ -115,11 +116,21 @@ impl Parallelism {
     }
 
     /// The concrete thread count this configuration resolves to (≥ 1).
+    ///
+    /// The automatic count is read from the OS once per process and
+    /// cached: `available_parallelism` costs a syscall (tens of µs) and
+    /// every kernel region asks, several times per training step. A
+    /// later change to the process's CPU affinity or quota is therefore
+    /// not seen — pin an explicit count (`RTE_THREADS`) where that
+    /// matters.
     pub fn resolve(self) -> usize {
         if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
+            static AUTO: OnceLock<usize> = OnceLock::new();
+            *AUTO.get_or_init(|| {
+                std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(1)
+            })
         } else {
             self.threads
         }
@@ -253,7 +264,7 @@ where
 ///
 /// Chunk `i` covers `data[i*chunk_len .. (i+1)*chunk_len]`; chunks are
 /// disjoint, so workers write concurrently without synchronization. `init`
-/// builds per-worker scratch (e.g. an im2col buffer) on the worker thread.
+/// builds per-worker scratch (e.g. a padded image) on the worker thread.
 /// Assignment is static (round-robin by chunk index), which is ideal for
 /// the uniform per-chunk cost of batched kernels.
 ///

@@ -2,8 +2,10 @@
 //! lane-ordered reductions.
 //!
 //! Every training method in the workspace bottoms out in a handful of
-//! `f32` kernels: the im2col matrix products behind [`crate::conv`], and
-//! the elementwise activation / optimizer sweeps in `rte-nn`. This module
+//! `f32` kernels: the matrix products behind [`crate::conv`] — which
+//! read the convolution's column matrix in place from a zero-padded
+//! image through a [`ColumnMap`] instead of materializing it — and the
+//! elementwise activation / optimizer sweeps in `rte-nn`. This module
 //! multi-versions those kernels over instruction-set *arms* and picks one
 //! at runtime:
 //!
@@ -35,12 +37,17 @@
 //!    vector width reproduces the scalar expression bit for bit.
 //!    **No FMA contraction is ever emitted** — a fused `a*b+c` rounds
 //!    once where `mul`+`add` round twice, which would split the arms.
-//! 2. **Matrix products** ([`matmul`], [`matmul_tn`]) vectorize over
+//! 2. **Matrix products** ([`matmul`], [`matmul_tn`],
+//!    [`conv_forward_with`], [`conv_input_grad_with`]) vectorize over
 //!    *output columns*: each output element accumulates its `k`
 //!    products in strictly ascending `k` order on every arm (lanes are
 //!    distinct outputs, never partial sums of one output). All arms are
-//!    therefore bit-identical to the naive i-k-j reference kernel.
-//! 3. **Reductions** ([`sum`], [`matmul_nt_acc`]'s dot products)
+//!    therefore bit-identical to the naive i-k-j reference kernel — and
+//!    the conv kernels to that kernel over the materialized im2col
+//!    matrix, because reading a column in place changes where an
+//!    operand comes from, never the chain it joins.
+//! 3. **Reductions** ([`sum`], [`matmul_nt_acc`]'s and
+//!    [`conv_weight_grad_with`]'s dot products)
 //!    accumulate into 8 virtual lanes — element `i` goes to lane
 //!    `i % 8` in ascending `i` order — and the lanes are combined by
 //!    the fixed tree [`reduce8`]: `((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7))`
@@ -424,7 +431,7 @@ pub fn matmul_with(
     dispatch!(
         backend,
         scalar::matmul(a, b, m, k, n, out),
-        avx2::gemm(a, b, m, k, n, out, false)
+        avx2::gemm(a, &avx2::Dense { b, stride: n }, m, k, n, out, false)
     );
 }
 
@@ -458,7 +465,7 @@ pub fn matmul_tn_with(
     dispatch!(
         backend,
         scalar::matmul_tn(a, b, m, k, n, out),
-        avx2::gemm(a, b, m, k, n, out, true)
+        avx2::gemm(a, &avx2::Dense { b, stride: n }, m, k, n, out, true)
     );
 }
 
@@ -493,7 +500,342 @@ pub fn matmul_nt_acc_with(
     dispatch!(
         backend,
         scalar::matmul_nt_acc(a, b, m, k, n, out),
-        avx2::matmul_nt_acc(a, b, m, k, n, out)
+        avx2::matmul_nt_acc(a, &avx2::Dense { b, stride: k }, m, k, n, out)
+    );
+}
+
+/// Index map of the *virtual* column matrix of a zero-padded image.
+///
+/// For a convolution over a `c × h × w` image, zero-padded by `padding`
+/// on every side into a `c × hp × wp` buffer `xpad`, the im2col matrix
+/// is `B[(ci,ki,kj)][(oi,oj)] = xpad[ci][oi·s+ki·d][oj·s+kj·d]`. Its
+/// element offsets split into a per-row (tap) part and a per-column
+/// (output position) part:
+///
+/// `B[t][j] = xpad[rows[t] + cols[j]]`
+///
+/// so the conv kernels ([`conv_forward_with`], [`conv_input_grad_with`],
+/// [`conv_weight_grad_with`]) read — or, for the input gradient,
+/// scatter into — the column matrix in place instead of materializing
+/// its `c·kh·kw × oh·ow` floats. When every run of 8 output columns
+/// (starting at a multiple of 8) lies in one output row at stride 1 —
+/// as on FLNet's 16-wide maps — each run is one plain unaligned load;
+/// otherwise the kernels gather every run lane by lane.
+#[derive(Debug, Clone)]
+pub struct ColumnMap {
+    c: usize,
+    h: usize,
+    w: usize,
+    padding: usize,
+    hp: usize,
+    wp: usize,
+    /// `rows[t]`: offset of tap `t = (ci, ki, kj)` in the padded image.
+    rows: Vec<usize>,
+    /// `cols[j]`: offset of output position `j = (oi, oj)` from a tap's
+    /// row offset (`u32` so a run of 8 is a gather index vector).
+    cols: Vec<u32>,
+    /// Every run of 8 columns starting at a multiple of 8 is contiguous.
+    contiguous: bool,
+}
+
+impl ColumnMap {
+    /// The map for a `kh × kw` convolution over a `c × h × w` image with
+    /// the given stride, symmetric zero padding and dilation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a kernel extent, `stride` or `dilation` is zero, if the
+    /// padded image is smaller than the dilated kernel, or if one padded
+    /// channel plane does not fit a 31-bit gather index.
+    #[allow(clippy::too_many_arguments)]
+    pub fn new(
+        c: usize,
+        h: usize,
+        w: usize,
+        kh: usize,
+        kw: usize,
+        stride: usize,
+        padding: usize,
+        dilation: usize,
+    ) -> ColumnMap {
+        assert!(
+            kh > 0 && kw > 0 && stride > 0 && dilation > 0,
+            "ColumnMap: zero kernel extent, stride or dilation"
+        );
+        let (hp, wp) = (h + 2 * padding, w + 2 * padding);
+        let (eff_h, eff_w) = (dilation * (kh - 1) + 1, dilation * (kw - 1) + 1);
+        assert!(
+            hp >= eff_h && wp >= eff_w,
+            "ColumnMap: padded {hp}×{wp} image smaller than the {eff_h}×{eff_w} kernel"
+        );
+        assert!(
+            hp * wp <= i32::MAX as usize,
+            "ColumnMap: padded plane too large"
+        );
+        let (oh, ow) = ((hp - eff_h) / stride + 1, (wp - eff_w) / stride + 1);
+        let mut rows = Vec::with_capacity(c * kh * kw);
+        for ci in 0..c {
+            for ki in 0..kh {
+                for kj in 0..kw {
+                    rows.push(ci * hp * wp + ki * dilation * wp + kj * dilation);
+                }
+            }
+        }
+        let mut cols = Vec::with_capacity(oh * ow);
+        for oi in 0..oh {
+            for oj in 0..ow {
+                cols.push((oi * stride * wp + oj * stride) as u32);
+            }
+        }
+        // `cols` is strictly increasing, so a span of exactly 7 means the
+        // eight offsets are consecutive.
+        let contiguous = cols
+            .chunks_exact(LANES)
+            .all(|run| run[LANES - 1] - run[0] == (LANES - 1) as u32);
+        ColumnMap {
+            c,
+            h,
+            w,
+            padding,
+            hp,
+            wp,
+            rows,
+            cols,
+            contiguous,
+        }
+    }
+
+    /// Rows of the column matrix: `c·kh·kw` kernel taps.
+    pub fn taps(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Columns of the column matrix: `oh·ow` output positions.
+    pub fn positions(&self) -> usize {
+        self.cols.len()
+    }
+
+    /// Length of one unpadded image, `c·h·w`.
+    pub fn image_len(&self) -> usize {
+        self.c * self.h * self.w
+    }
+
+    /// Length of one padded image, `c·hp·wp`.
+    pub fn padded_len(&self) -> usize {
+        self.c * self.hp * self.wp
+    }
+
+    /// Writes the zero-padded copy of `img` (`c × h × w`) into `xpad`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slice lengths do not match the map.
+    pub fn pad(&self, img: &[f32], xpad: &mut [f32]) {
+        assert_eq!(img.len(), self.image_len(), "ColumnMap::pad: image length");
+        assert_eq!(
+            xpad.len(),
+            self.padded_len(),
+            "ColumnMap::pad: padded length"
+        );
+        if self.padding == 0 {
+            xpad.copy_from_slice(img);
+            return;
+        }
+        xpad.fill(0.0);
+        for (ci, plane) in img.chunks_exact(self.h * self.w).enumerate() {
+            for (i, src) in plane.chunks_exact(self.w).enumerate() {
+                let at = ci * self.hp * self.wp + (i + self.padding) * self.wp + self.padding;
+                xpad[at..at + self.w].copy_from_slice(src);
+            }
+        }
+    }
+
+    /// Copies the interior of the padded image `xpad` into `img`, the
+    /// inverse of [`ColumnMap::pad`] (the border is dropped).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slice lengths do not match the map.
+    pub fn crop(&self, xpad: &[f32], img: &mut [f32]) {
+        assert_eq!(img.len(), self.image_len(), "ColumnMap::crop: image length");
+        assert_eq!(
+            xpad.len(),
+            self.padded_len(),
+            "ColumnMap::crop: padded length"
+        );
+        for (ci, plane) in img.chunks_exact_mut(self.h * self.w).enumerate() {
+            for (i, dst) in plane.chunks_exact_mut(self.w).enumerate() {
+                let at = ci * self.hp * self.wp + (i + self.padding) * self.wp + self.padding;
+                dst.copy_from_slice(&xpad[at..at + self.w]);
+            }
+        }
+    }
+
+    /// Element `(t, j)` of the virtual column matrix of `xpad`.
+    #[inline]
+    fn at(&self, xpad: &[f32], t: usize, j: usize) -> f32 {
+        xpad[self.rows[t] + self.cols[j] as usize]
+    }
+
+    /// Columns `j..j+8` of row `t` of the virtual column matrix of
+    /// `xpad` (`j` a multiple of 8): a slice of `xpad` when the map's
+    /// runs are contiguous, otherwise the run gathered into `buf`.
+    #[inline]
+    fn run<'a>(&self, xpad: &'a [f32], t: usize, j: usize, buf: &'a mut [f32; LANES]) -> &'a [f32] {
+        let base = self.rows[t];
+        if self.contiguous {
+            let at = base + self.cols[j] as usize;
+            &xpad[at..at + LANES]
+        } else {
+            for (b, &c) in buf.iter_mut().zip(self.cols[j..j + LANES].iter()) {
+                *b = xpad[base + c as usize];
+            }
+            buf
+        }
+    }
+
+    /// Copies row `t` of the virtual column matrix into `row`.
+    fn gather_row(&self, xpad: &[f32], t: usize, row: &mut [f32]) {
+        let full = row.len() / LANES * LANES;
+        let mut buf = [0.0f32; LANES];
+        for (j, dst) in (0..full).step_by(LANES).zip(row.chunks_exact_mut(LANES)) {
+            dst.copy_from_slice(self.run(xpad, t, j, &mut buf));
+        }
+        for (j, dst) in row.iter_mut().enumerate().skip(full) {
+            *dst = self.at(xpad, t, j);
+        }
+    }
+
+    /// Adds `row` into the positions of row `t` of the virtual column
+    /// matrix of `xpad` (one tap of the col2im scatter).
+    fn scatter_add_row(&self, xpad: &mut [f32], t: usize, row: &[f32]) {
+        let base = self.rows[t];
+        let full = if self.contiguous {
+            row.len() / LANES * LANES
+        } else {
+            0
+        };
+        for (j, src) in (0..full).step_by(LANES).zip(row.chunks_exact(LANES)) {
+            let at = base + self.cols[j] as usize;
+            for (d, &v) in xpad[at..at + LANES].iter_mut().zip(src.iter()) {
+                *d += v;
+            }
+        }
+        for (&v, &c) in row[full..].iter().zip(self.cols[full..].iter()) {
+            xpad[base + c as usize] += v;
+        }
+    }
+
+    /// Panics unless the operands of a conv kernel over this map fit:
+    /// `w` is `m × taps`, `img` one padded image, `grid` `m × positions`.
+    fn check(&self, what: &str, w: &[f32], img: &[f32], grid: &[f32], m: usize) {
+        assert_eq!(w.len(), m * self.taps(), "{what}: weight length");
+        assert_eq!(img.len(), self.padded_len(), "{what}: padded image length");
+        assert_eq!(
+            grid.len(),
+            m * self.positions(),
+            "{what}: output-grid length"
+        );
+    }
+}
+
+/// Convolution forward over a padded image: `out = W · B` where `W` is
+/// `m × taps` (row-major, `m` output channels) and `B` the virtual
+/// column matrix of `xpad` under `map`; `out` is `m × positions`.
+///
+/// Each output element accumulates its `taps` products in strictly
+/// ascending tap order from `+0.0` — the [`matmul`] chain over the
+/// materialized im2col matrix, so the result is bit-identical to
+/// `im2col` followed by [`matmul`] on every arm.
+///
+/// # Panics
+///
+/// Panics if any slice length is inconsistent with `map` and `m`.
+pub fn conv_forward_with(
+    backend: SimdBackend,
+    w: &[f32],
+    xpad: &[f32],
+    map: &ColumnMap,
+    m: usize,
+    out: &mut [f32],
+) {
+    map.check("conv_forward", w, xpad, out, m);
+    dispatch!(
+        backend,
+        scalar::conv_forward(w, xpad, map, m, out),
+        avx2::gemm(
+            w,
+            &avx2::Virtual::new(xpad, map),
+            m,
+            map.taps(),
+            map.positions(),
+            out,
+            false
+        )
+    );
+}
+
+/// Convolution input gradient, fused with the col2im scatter: for each
+/// tap `t` in ascending order, the row `(Wᵀ · dY)[t]` (an ascending
+/// chain over the `m` output channels from `+0.0`) is added straight
+/// into the positions of row `t` of the virtual column matrix of
+/// `dxpad`. `W` is `m × taps`, `dy` is `m × positions`, and `dxpad` is
+/// a padded image (the caller zeroes it and crops its interior).
+///
+/// Every interior pixel therefore receives exactly the terms, in
+/// exactly the order, that [`matmul_tn`] followed by `col2im` adds;
+/// terms that land in the border are the ones `col2im` skips.
+///
+/// # Panics
+///
+/// Panics if any slice length is inconsistent with `map` and `m`.
+pub fn conv_input_grad_with(
+    backend: SimdBackend,
+    w: &[f32],
+    dy: &[f32],
+    map: &ColumnMap,
+    m: usize,
+    dxpad: &mut [f32],
+) {
+    map.check("conv_input_grad", w, dxpad, dy, m);
+    dispatch!(
+        backend,
+        scalar::conv_input_grad(w, dy, map, m, dxpad),
+        avx2::conv_input_grad(w, dy, map, m, dxpad)
+    );
+}
+
+/// Convolution weight gradient over a padded image: `dw += dY · Bᵀ`
+/// where `dy` is `m × positions`, `B` the virtual column matrix of
+/// `xpad` under `map`, and `dw` is `m × taps`.
+///
+/// Each element is the 8-lane dot product of [`matmul_nt_acc`] (lane
+/// `j % 8` over output positions, [`reduce8`] tree) added once into
+/// `dw` — bit-identical to `im2col` followed by [`matmul_nt_acc`].
+///
+/// # Panics
+///
+/// Panics if any slice length is inconsistent with `map` and `m`.
+pub fn conv_weight_grad_with(
+    backend: SimdBackend,
+    dy: &[f32],
+    xpad: &[f32],
+    map: &ColumnMap,
+    m: usize,
+    dw: &mut [f32],
+) {
+    map.check("conv_weight_grad", dw, xpad, dy, m);
+    dispatch!(
+        backend,
+        scalar::conv_weight_grad(dy, xpad, map, m, dw),
+        avx2::matmul_nt_acc(
+            dy,
+            &avx2::Virtual::new(xpad, map),
+            m,
+            map.positions(),
+            map.taps(),
+            dw
+        )
     );
 }
 
@@ -825,6 +1167,119 @@ mod scalar {
         }
     }
 
+    /// [`matmul`] with the virtual `B`: each tap's column-matrix row is
+    /// gathered into one row buffer, then swept into every output row
+    /// (ascending taps, so each element's chain is the `matmul` chain).
+    pub(super) fn conv_forward(
+        w: &[f32],
+        xpad: &[f32],
+        map: &ColumnMap,
+        m: usize,
+        out: &mut [f32],
+    ) {
+        let (taps, n) = (map.taps(), map.positions());
+        out.iter_mut().for_each(|x| *x = 0.0);
+        let mut row = vec![0.0f32; n];
+        for t in 0..taps {
+            map.gather_row(xpad, t, &mut row);
+            let mut i = 0;
+            while i + MR <= m {
+                let coeffs = [
+                    w[i * taps + t],
+                    w[(i + 1) * taps + t],
+                    w[(i + 2) * taps + t],
+                    w[(i + 3) * taps + t],
+                ];
+                saxpy4(split_rows(&mut out[i * n..(i + MR) * n], n), coeffs, &row);
+                i += MR;
+            }
+            for i in i..m {
+                let a = w[i * taps + t];
+                for (o, &b) in out[i * n..(i + 1) * n].iter_mut().zip(row.iter()) {
+                    *o += a * b;
+                }
+            }
+        }
+    }
+
+    /// [`matmul_tn`] over blocks of `MR` taps (their rows share every
+    /// load of `dY`), each finished row scattered into the padded
+    /// gradient image in ascending tap order.
+    pub(super) fn conv_input_grad(
+        w: &[f32],
+        dy: &[f32],
+        map: &ColumnMap,
+        m: usize,
+        dxpad: &mut [f32],
+    ) {
+        let (taps, n) = (map.taps(), map.positions());
+        let mut rows = vec![0.0f32; MR * n];
+        let mut t = 0;
+        while t < taps {
+            let tw = MR.min(taps - t);
+            let block = &mut rows[..tw * n];
+            block.iter_mut().for_each(|x| *x = 0.0);
+            for co in 0..m {
+                let a = &w[co * taps + t..co * taps + t + tw];
+                let d = &dy[co * n..(co + 1) * n];
+                if tw == MR {
+                    saxpy4(split_rows(block, n), [a[0], a[1], a[2], a[3]], d);
+                } else {
+                    for (row, &ai) in block.chunks_exact_mut(n).zip(a.iter()) {
+                        for (o, &dv) in row.iter_mut().zip(d.iter()) {
+                            *o += ai * dv;
+                        }
+                    }
+                }
+            }
+            for (r, row) in block.chunks_exact(n).enumerate() {
+                map.scatter_add_row(dxpad, t + r, row);
+            }
+            t += tw;
+        }
+    }
+
+    /// [`matmul_nt_acc`] with the virtual `B`: each 8-column run of a
+    /// tap row is read once (in place, or gathered) and feeds the lane
+    /// accumulators of every output channel — the [`dot_lanes`] schedule
+    /// per channel, then one `+=` into `dw`.
+    pub(super) fn conv_weight_grad(
+        dy: &[f32],
+        xpad: &[f32],
+        map: &ColumnMap,
+        m: usize,
+        dw: &mut [f32],
+    ) {
+        let (taps, n) = (map.taps(), map.positions());
+        let full = n / LANES * LANES;
+        let mut lanes = vec![[0.0f32; LANES]; m];
+        let mut buf = [0.0f32; LANES];
+        let mut tail = [0.0f32; LANES];
+        for t in 0..taps {
+            lanes.iter_mut().for_each(|l| *l = [0.0; LANES]);
+            for j in (0..full).step_by(LANES) {
+                let b = map.run(xpad, t, j, &mut buf);
+                for (co, lanes_co) in lanes.iter_mut().enumerate() {
+                    let a = &dy[co * n + j..co * n + j + LANES];
+                    for l in 0..LANES {
+                        lanes_co[l] += a[l] * b[l];
+                    }
+                }
+            }
+            for (q, slot) in tail[..n - full].iter_mut().enumerate() {
+                *slot = map.at(xpad, t, full + q);
+            }
+            for (co, lanes_co) in lanes.iter_mut().enumerate() {
+                dot_tail(
+                    lanes_co,
+                    &dy[co * n + full..(co + 1) * n],
+                    &tail[..n - full],
+                );
+                dw[co * taps + t] += reduce8(lanes_co);
+            }
+        }
+    }
+
     pub(super) fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
         for (o, &xi) in y.iter_mut().zip(x.iter()) {
             *o = axpy_lane(alpha, xi, *o);
@@ -944,6 +1399,88 @@ mod avx2 {
     /// See [`PACK_MIN_M`]: minimum `k·n` before packing pays.
     const PACK_MIN_KN: usize = 32 * 1024;
 
+    /// A row-major operand read through an index map: element `(r, j)`
+    /// lives at `data()[row(r) + col(j)]`. [`Dense`] is an ordinary
+    /// matrix; [`Virtual`] is the column matrix of a padded image, read
+    /// in place through its [`ColumnMap`].
+    pub(super) trait Operand {
+        /// The backing storage.
+        fn data(&self) -> &[f32];
+        /// Offset of row `r`.
+        fn row(&self, r: usize) -> usize;
+        /// Offset of column `j` from its row's offset.
+        fn col(&self, j: usize) -> usize;
+        /// Whether every run of 8 columns starting at a multiple of 8
+        /// is contiguous in memory (one plain load).
+        fn contiguous(&self) -> bool;
+        /// Column offsets `j..j+8`, as gather indices.
+        fn col_index(&self, j: usize) -> [i32; LANES];
+        /// Element `(r, j)`.
+        #[inline(always)]
+        fn at(&self, r: usize, j: usize) -> f32 {
+            self.data()[self.row(r) + self.col(j)]
+        }
+    }
+
+    /// A plain row-major matrix with `stride` columns.
+    pub(super) struct Dense<'a> {
+        pub(super) b: &'a [f32],
+        pub(super) stride: usize,
+    }
+
+    impl Operand for Dense<'_> {
+        fn data(&self) -> &[f32] {
+            self.b
+        }
+        #[inline(always)]
+        fn row(&self, r: usize) -> usize {
+            r * self.stride
+        }
+        #[inline(always)]
+        fn col(&self, j: usize) -> usize {
+            j
+        }
+        fn contiguous(&self) -> bool {
+            true
+        }
+        fn col_index(&self, j: usize) -> [i32; LANES] {
+            std::array::from_fn(|l| (j + l) as i32)
+        }
+    }
+
+    /// The virtual column matrix of a padded image (`taps × positions`).
+    pub(super) struct Virtual<'a> {
+        x: &'a [f32],
+        map: &'a ColumnMap,
+    }
+
+    impl<'a> Virtual<'a> {
+        pub(super) fn new(x: &'a [f32], map: &'a ColumnMap) -> Self {
+            assert_eq!(x.len(), map.padded_len(), "virtual columns: image length");
+            Virtual { x, map }
+        }
+    }
+
+    impl Operand for Virtual<'_> {
+        fn data(&self) -> &[f32] {
+            self.x
+        }
+        #[inline(always)]
+        fn row(&self, r: usize) -> usize {
+            self.map.rows[r]
+        }
+        #[inline(always)]
+        fn col(&self, j: usize) -> usize {
+            self.map.cols[j] as usize
+        }
+        fn contiguous(&self) -> bool {
+            self.map.contiguous
+        }
+        fn col_index(&self, j: usize) -> [i32; LANES] {
+            std::array::from_fn(|l| self.map.cols[j + l] as i32)
+        }
+    }
+
     /// `A` element `(i, p)` of the logical `m×k` operand, reading the
     /// transposed storage when `trans_a` is set.
     #[inline(always)]
@@ -956,7 +1493,9 @@ mod avx2 {
     }
 
     /// GEMM entry: `out = A @ B` (`trans_a == false`, `A` row-major
-    /// `m×k`) or `out = Aᵀ @ B` (`trans_a == true`, `A` stored `k×m`).
+    /// `m×k`) or `out = Aᵀ @ B` (`trans_a == true`, `A` stored `k×m`),
+    /// with `B` any `k×n` [`Operand`] — a dense matrix or the virtual
+    /// column matrix of a padded image.
     ///
     /// Large problems pack B into `NR`-wide column panels and A into
     /// `MR`-wide row panels per `KC`-deep k-tile; the micro-kernel then
@@ -970,10 +1509,12 @@ mod avx2 {
     ///
     /// # Safety
     ///
-    /// The CPU must support AVX2 (the [`dispatch!`] invariant).
-    pub(super) unsafe fn gemm(
+    /// The CPU must support AVX2 (the [`dispatch!`] invariant), and
+    /// every element `(p, j)` with `p < k`, `j < n` of `b` must lie
+    /// inside `b.data()`.
+    pub(super) unsafe fn gemm<B: Operand>(
         a: &[f32],
-        b: &[f32],
+        b: &B,
         m: usize,
         k: usize,
         n: usize,
@@ -985,7 +1526,11 @@ mod avx2 {
             return;
         }
         if m < PACK_MIN_M || k * n < PACK_MIN_KN {
-            return gemm_direct(a, b, m, k, n, out, trans_a);
+            return if b.contiguous() {
+                gemm_direct::<B, false>(a, b, m, k, n, out, trans_a)
+            } else {
+                gemm_direct::<B, true>(a, b, m, k, n, out, trans_a)
+            };
         }
         let nb = n.div_ceil(NR);
         let mb = m.div_ceil(MR);
@@ -1019,15 +1564,28 @@ mod avx2 {
     }
 
     /// Packs `B[p0..p0+pc, :]` into `NR`-wide column panels
-    /// (`[jb][p][0..NR]`, zero-padded past column `n`).
-    fn pack_b(b: &[f32], n: usize, p0: usize, pc: usize, nb: usize, b_pack: &mut [f32]) {
+    /// (`[jb][p][0..NR]`, zero-padded past column `n`), copying each
+    /// panel row as one slice when its columns are contiguous in
+    /// memory and element by element otherwise.
+    fn pack_b<B: Operand>(b: &B, n: usize, p0: usize, pc: usize, nb: usize, b_pack: &mut [f32]) {
+        let data = b.data();
         for jb in 0..nb {
             let j0 = jb * NR;
             let jw = NR.min(n - j0);
+            // Column offsets are strictly increasing, so a span of
+            // exactly `jw - 1` means the run is contiguous.
+            let run = b.col(j0 + jw - 1) - b.col(j0) == jw - 1;
             for p in 0..pc {
                 let dst = &mut b_pack[(jb * pc + p) * NR..(jb * pc + p + 1) * NR];
-                let src = &b[(p0 + p) * n + j0..(p0 + p) * n + j0 + jw];
-                dst[..jw].copy_from_slice(src);
+                let base = b.row(p0 + p);
+                if run {
+                    let start = base + b.col(j0);
+                    dst[..jw].copy_from_slice(&data[start..start + jw]);
+                } else {
+                    for (c, slot) in dst[..jw].iter_mut().enumerate() {
+                        *slot = data[base + b.col(j0 + c)];
+                    }
+                }
                 dst[jw..].iter_mut().for_each(|x| *x = 0.0);
             }
         }
@@ -1139,93 +1697,130 @@ mod avx2 {
     }
 
     /// Unpacked register-tile GEMM for small problems: the same `MR×NR`
-    /// accumulator tile as [`micro_kernel`], fed by strided loads from
-    /// the operands in place. Every output element still accumulates
-    /// its `k` products in strictly ascending order (one uninterrupted
-    /// chain — no k-tiling here), so this path is bit-identical to the
-    /// packed path and the scalar arm.
+    /// accumulator tile as [`micro_kernel`], fed by loads from the
+    /// operands in place (`GATHER` selects gathers for an operand whose
+    /// 8-column runs are not contiguous). A lone output row runs four
+    /// independent column vectors instead, so the add latency of one
+    /// chain hides behind the other three. Every output element still
+    /// accumulates its `k` products in strictly ascending order (one
+    /// uninterrupted chain — no k-tiling here), so this path is
+    /// bit-identical to the packed path and the scalar arm.
     ///
     /// # Safety
     ///
     /// The CPU must support AVX2 (the [`dispatch!`] invariant, upheld by
-    /// [`gemm`]), and the slices must match the stated geometry (`a` is
-    /// `m×k` or `k×m` per `trans_a`, `b` is `k×n`, `out` is `m×n`) —
-    /// the loop bounds keep every 8/16-lane load/store inside them.
+    /// [`gemm`]), and the operands must match the stated geometry (`a`
+    /// is `m×k` or `k×m` per `trans_a`, `b` is `k×n` inside its data,
+    /// `out` is `m×n`) — the loop bounds keep every load/store inside.
     #[target_feature(enable = "avx2")]
-    unsafe fn gemm_direct(
+    unsafe fn gemm_direct<B: Operand, const GATHER: bool>(
         a: &[f32],
-        b: &[f32],
+        b: &B,
         m: usize,
         k: usize,
         n: usize,
         out: &mut [f32],
         trans_a: bool,
     ) {
+        let chain = |i: usize, j: usize| {
+            let mut s = 0.0f32;
+            for p in 0..k {
+                s += a_at(a, m, k, trans_a, i, p) * b.at(p, j);
+            }
+            s
+        };
         let mut i0 = 0;
         while i0 + MR <= m {
             let mut j0 = 0;
             while j0 + NR <= n {
-                let mut acc = [[_mm256_setzero_ps(); 2]; MR];
-                for p in 0..k {
-                    let bp = b.as_ptr().add(p * n + j0);
-                    let b0 = _mm256_loadu_ps(bp);
-                    let b1 = _mm256_loadu_ps(bp.add(8));
-                    for r in 0..MR {
-                        let ar = _mm256_set1_ps(a_at(a, m, k, trans_a, i0 + r, p));
-                        acc[r][0] = _mm256_add_ps(acc[r][0], _mm256_mul_ps(ar, b0));
-                        acc[r][1] = _mm256_add_ps(acc[r][1], _mm256_mul_ps(ar, b1));
-                    }
-                }
-                for (r, acc_r) in acc.iter().enumerate() {
-                    let dst = out.as_mut_ptr().add((i0 + r) * n + j0);
-                    _mm256_storeu_ps(dst, acc_r[0]);
-                    _mm256_storeu_ps(dst.add(8), acc_r[1]);
-                }
+                tile::<B, GATHER, MR, 2>(a, b, m, k, n, out, trans_a, i0, j0);
                 j0 += NR;
             }
-            while j0 + 8 <= n {
-                let mut acc = [_mm256_setzero_ps(); MR];
-                for p in 0..k {
-                    let bv = _mm256_loadu_ps(b.as_ptr().add(p * n + j0));
-                    for (r, acc_r) in acc.iter_mut().enumerate() {
-                        let ar = _mm256_set1_ps(a_at(a, m, k, trans_a, i0 + r, p));
-                        *acc_r = _mm256_add_ps(*acc_r, _mm256_mul_ps(ar, bv));
-                    }
-                }
-                for (r, acc_r) in acc.iter().enumerate() {
-                    _mm256_storeu_ps(out.as_mut_ptr().add((i0 + r) * n + j0), *acc_r);
-                }
-                j0 += 8;
+            while j0 + LANES <= n {
+                tile::<B, GATHER, MR, 1>(a, b, m, k, n, out, trans_a, i0, j0);
+                j0 += LANES;
             }
             for j in j0..n {
                 for r in 0..MR {
-                    let mut s = 0.0f32;
-                    for p in 0..k {
-                        s += a_at(a, m, k, trans_a, i0 + r, p) * b[p * n + j];
-                    }
-                    out[(i0 + r) * n + j] = s;
+                    out[(i0 + r) * n + j] = chain(i0 + r, j);
                 }
             }
             i0 += MR;
         }
         for i in i0..m {
             let mut j0 = 0;
-            while j0 + 8 <= n {
-                let mut acc = _mm256_setzero_ps();
-                for p in 0..k {
-                    let ar = _mm256_set1_ps(a_at(a, m, k, trans_a, i, p));
-                    let bv = _mm256_loadu_ps(b.as_ptr().add(p * n + j0));
-                    acc = _mm256_add_ps(acc, _mm256_mul_ps(ar, bv));
-                }
-                _mm256_storeu_ps(out.as_mut_ptr().add(i * n + j0), acc);
-                j0 += 8;
+            while j0 + 4 * LANES <= n {
+                tile::<B, GATHER, 1, 4>(a, b, m, k, n, out, trans_a, i, j0);
+                j0 += 4 * LANES;
+            }
+            while j0 + LANES <= n {
+                tile::<B, GATHER, 1, 1>(a, b, m, k, n, out, trans_a, i, j0);
+                j0 += LANES;
             }
             for j in j0..n {
-                let mut s = 0.0f32;
-                for p in 0..k {
-                    s += a_at(a, m, k, trans_a, i, p) * b[p * n + j];
+                out[i * n + j] = chain(i, j);
+            }
+        }
+    }
+
+    /// One `R × 8V` register tile of [`gemm_direct`]: output rows
+    /// `i0..i0+R`, columns `j0..j0+8V`, each an ascending chain over `k`
+    /// seeded at `+0.0`.
+    ///
+    /// # Safety
+    ///
+    /// As [`gemm_direct`], with `i0 + R <= m` and `j0 + 8V <= n`.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx2")]
+    unsafe fn tile<B: Operand, const GATHER: bool, const R: usize, const V: usize>(
+        a: &[f32],
+        b: &B,
+        m: usize,
+        k: usize,
+        n: usize,
+        out: &mut [f32],
+        trans_a: bool,
+        i0: usize,
+        j0: usize,
+    ) {
+        let mut offs = [0usize; V];
+        let mut idx = [_mm256_setzero_si256(); V];
+        for v in 0..V {
+            if GATHER {
+                idx[v] = _mm256_loadu_si256(b.col_index(j0 + v * LANES).as_ptr().cast());
+            } else {
+                offs[v] = b.col(j0 + v * LANES);
+            }
+        }
+        // Row `i0 + r` of the logical `m×k` A starts at `a_rows[r]` and
+        // advances by `a_step` per k (unchecked: `a` is `m×k` or `k×m`).
+        let (a_rows, a_step): ([*const f32; R], usize) = if trans_a {
+            (std::array::from_fn(|r| a.as_ptr().add(i0 + r)), m)
+        } else {
+            (std::array::from_fn(|r| a.as_ptr().add((i0 + r) * k)), 1)
+        };
+        let data = b.data().as_ptr();
+        let mut acc = [[_mm256_setzero_ps(); V]; R];
+        for p in 0..k {
+            let row = data.add(b.row(p));
+            let mut bv = [_mm256_setzero_ps(); V];
+            for v in 0..V {
+                bv[v] = if GATHER {
+                    _mm256_i32gather_ps::<4>(row, idx[v])
+                } else {
+                    _mm256_loadu_ps(row.add(offs[v]))
+                };
+            }
+            for (acc_r, &a_row) in acc.iter_mut().zip(a_rows.iter()) {
+                let ar = _mm256_set1_ps(*a_row.add(p * a_step));
+                for v in 0..V {
+                    acc_r[v] = _mm256_add_ps(acc_r[v], _mm256_mul_ps(ar, bv[v]));
                 }
-                out[i * n + j] = s;
+            }
+        }
+        for (r, acc_r) in acc.iter().enumerate() {
+            for (v, acc_rv) in acc_r.iter().enumerate() {
+                _mm256_storeu_ps(out.as_mut_ptr().add((i0 + r) * n + j0 + v * LANES), *acc_rv);
             }
         }
     }
@@ -1244,82 +1839,228 @@ mod avx2 {
         lanes
     }
 
-    /// `out += A @ Bᵀ` (`A` is `m×k`, `B` is `n×k`, both row-major):
-    /// batched 8-lane dot products, four B rows per A-row load, with
-    /// the shared scalar tail folded into the lane array before the
-    /// fixed-order [`reduce8`] — bit-identical to the scalar arm.
+    /// `out += A @ Bᵀ` (`A` is `m×k` row-major, `B` is an `n×k`
+    /// [`Operand`]): batched 8-lane dot products, four B rows per A-row
+    /// load, with the shared scalar tail folded into the lane array
+    /// before the fixed-order [`reduce8`] — bit-identical to the scalar
+    /// arm.
     ///
     /// # Safety
     ///
     /// The CPU must support AVX2 (the [`dispatch!`] invariant) and the
-    /// slices must match the stated `m`/`k`/`n` geometry, which keeps
-    /// every 8-lane load inside its row slice.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn matmul_nt_acc(
+    /// operands must match the stated `m`/`k`/`n` geometry, which keeps
+    /// every 8-lane load inside its row.
+    pub(super) unsafe fn matmul_nt_acc<B: Operand>(
         a: &[f32],
-        b: &[f32],
+        b: &B,
         m: usize,
         k: usize,
         n: usize,
         out: &mut [f32],
     ) {
-        let kb = k / LANES * LANES;
-        for i in 0..m {
-            let a_row = &a[i * k..(i + 1) * k];
-            let out_row = &mut out[i * n..(i + 1) * n];
-            let mut j = 0;
-            // Four dot products at a time share every load of the A row.
-            while j + 4 <= n {
-                let rows = [
-                    &b[j * k..(j + 1) * k],
-                    &b[(j + 1) * k..(j + 2) * k],
-                    &b[(j + 2) * k..(j + 3) * k],
-                    &b[(j + 3) * k..(j + 4) * k],
-                ];
-                let mut acc = [_mm256_setzero_ps(); 4];
-                let mut p = 0;
-                while p < kb {
-                    let av = _mm256_loadu_ps(a_row.as_ptr().add(p));
-                    for (c, row) in rows.iter().enumerate() {
-                        let bv = _mm256_loadu_ps(row.as_ptr().add(p));
-                        acc[c] = _mm256_add_ps(acc[c], _mm256_mul_ps(av, bv));
-                    }
-                    p += LANES;
+        if b.contiguous() {
+            nt_acc::<B, false>(a, b, m, k, n, out)
+        } else {
+            nt_acc::<B, true>(a, b, m, k, n, out)
+        }
+    }
+
+    /// [`matmul_nt_acc`] with the load kind fixed: register blocks of two
+    /// A rows × four B rows, so every B load feeds two dot products and
+    /// every A load four.
+    ///
+    /// # Safety
+    ///
+    /// As [`matmul_nt_acc`].
+    #[target_feature(enable = "avx2")]
+    unsafe fn nt_acc<B: Operand, const GATHER: bool>(
+        a: &[f32],
+        b: &B,
+        m: usize,
+        k: usize,
+        n: usize,
+        out: &mut [f32],
+    ) {
+        let mut i = 0;
+        while i + 2 <= m {
+            nt_rows::<B, GATHER, 2>(a, b, k, n, i, out);
+            i += 2;
+        }
+        if i < m {
+            nt_rows::<B, GATHER, 1>(a, b, k, n, i, out);
+        }
+    }
+
+    /// Output rows `i0..i0+MA` of [`nt_acc`].
+    ///
+    /// # Safety
+    ///
+    /// As [`matmul_nt_acc`], with `i0 + MA <= m`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn nt_rows<B: Operand, const GATHER: bool, const MA: usize>(
+        a: &[f32],
+        b: &B,
+        k: usize,
+        n: usize,
+        i0: usize,
+        out: &mut [f32],
+    ) {
+        let a_rows: [&[f32]; MA] = std::array::from_fn(|r| &a[(i0 + r) * k..(i0 + r + 1) * k]);
+        let mut j = 0;
+        while j + 4 <= n {
+            let d = dots::<B, GATHER, MA, 4>(a_rows, b, j);
+            for (r, d_r) in d.iter().enumerate() {
+                for (c, &v) in d_r.iter().enumerate() {
+                    out[(i0 + r) * n + j + c] += v;
                 }
-                for (c, row) in rows.iter().enumerate() {
-                    let mut lanes = spill(acc[c]);
-                    scalar::dot_tail(&mut lanes, &a_row[kb..], &row[kb..]);
-                    out_row[j + c] += reduce8(&lanes);
-                }
-                j += 4;
             }
-            for j in j..n {
-                out_row[j] += dot_lanes(a_row, &b[j * k..(j + 1) * k]);
+            j += 4;
+        }
+        for j in j..n {
+            let d = dots::<B, GATHER, MA, 1>(a_rows, b, j);
+            for (r, d_r) in d.iter().enumerate() {
+                out[(i0 + r) * n + j] += d_r[0];
             }
         }
     }
 
-    /// Single 8-lane dot product (vector body + shared scalar tail).
+    /// `MA × NB` 8-lane dot products of the `a_rows` with rows
+    /// `j..j+NB` of `b` (vector body + shared scalar tail + [`reduce8`]).
     ///
     /// # Safety
     ///
-    /// The CPU must support AVX2 (the [`dispatch!`] invariant) and `b`
-    /// must be at least as long as `a` (the vector body reads both at
-    /// the same offsets, bounded by `a.len()`).
+    /// The CPU must support AVX2 (the [`dispatch!`] invariant), every
+    /// A row must have the same length `k`, and rows `j..j+NB` of `b`
+    /// must hold `k` columns inside its data.
     #[target_feature(enable = "avx2")]
-    unsafe fn dot_lanes(a: &[f32], b: &[f32]) -> f32 {
-        let kb = a.len() / LANES * LANES;
-        let mut acc = _mm256_setzero_ps();
+    unsafe fn dots<B: Operand, const GATHER: bool, const MA: usize, const NB: usize>(
+        a_rows: [&[f32]; MA],
+        b: &B,
+        j: usize,
+    ) -> [[f32; NB]; MA] {
+        let k = a_rows[0].len();
+        let kb = k / LANES * LANES;
+        let data = b.data().as_ptr();
+        let b_rows: [*const f32; NB] = std::array::from_fn(|c| data.add(b.row(j + c)));
+        let mut acc = [[_mm256_setzero_ps(); NB]; MA];
         let mut p = 0;
         while p < kb {
-            let av = _mm256_loadu_ps(a.as_ptr().add(p));
-            let bv = _mm256_loadu_ps(b.as_ptr().add(p));
-            acc = _mm256_add_ps(acc, _mm256_mul_ps(av, bv));
+            let (off, idx) = if GATHER {
+                let idx = _mm256_loadu_si256(b.col_index(p).as_ptr().cast());
+                (0, idx)
+            } else {
+                (b.col(p), _mm256_setzero_si256())
+            };
+            let av: [__m256; MA] =
+                std::array::from_fn(|r| _mm256_loadu_ps(a_rows[r].as_ptr().add(p)));
+            for (c, &row) in b_rows.iter().enumerate() {
+                let bv = if GATHER {
+                    _mm256_i32gather_ps::<4>(row, idx)
+                } else {
+                    _mm256_loadu_ps(row.add(off))
+                };
+                for r in 0..MA {
+                    acc[r][c] = _mm256_add_ps(acc[r][c], _mm256_mul_ps(av[r], bv));
+                }
+            }
             p += LANES;
         }
-        let mut lanes = spill(acc);
-        scalar::dot_tail(&mut lanes, &a[kb..], &b[kb..]);
-        reduce8(&lanes)
+        let mut tail = [[0.0f32; LANES]; NB];
+        for (c, tail_c) in tail.iter_mut().enumerate() {
+            for (q, slot) in tail_c[..k - kb].iter_mut().enumerate() {
+                *slot = b.at(j + c, kb + q);
+            }
+        }
+        let mut out = [[0.0f32; NB]; MA];
+        for (r, out_r) in out.iter_mut().enumerate() {
+            for (c, o) in out_r.iter_mut().enumerate() {
+                let mut lanes = spill(acc[r][c]);
+                scalar::dot_tail(&mut lanes, &a_rows[r][kb..], &tail[c][..k - kb]);
+                *o = reduce8(&lanes);
+            }
+        }
+        out
+    }
+
+    /// [`super::conv_input_grad_with`]: for each tap, register tiles of
+    /// the `Wᵀ·dY` row (ascending chain over the `m` output channels
+    /// from `+0.0`) added straight into the padded gradient image.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 (the [`dispatch!`] invariant) and the
+    /// slices must match `map` and `m` (checked by the public entry).
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn conv_input_grad(
+        w: &[f32],
+        dy: &[f32],
+        map: &ColumnMap,
+        m: usize,
+        dxpad: &mut [f32],
+    ) {
+        let (taps, n) = (map.taps(), map.positions());
+        for t in 0..taps {
+            let mut j0 = 0;
+            while j0 + 4 * LANES <= n {
+                tap_tile::<4>(w, dy, map, m, t, j0, dxpad);
+                j0 += 4 * LANES;
+            }
+            while j0 + LANES <= n {
+                tap_tile::<1>(w, dy, map, m, t, j0, dxpad);
+                j0 += LANES;
+            }
+            for j in j0..n {
+                let mut s = 0.0f32;
+                for co in 0..m {
+                    s += w[co * taps + t] * dy[co * n + j];
+                }
+                dxpad[map.rows[t] + map.cols[j] as usize] += s;
+            }
+        }
+    }
+
+    /// Columns `j0..j0+8V` of tap `t`'s `Wᵀ·dY` row, added into the
+    /// padded image: one load-add-store per contiguous run, or a spill
+    /// and a lane-by-lane scatter.
+    ///
+    /// # Safety
+    ///
+    /// As [`conv_input_grad`], with `t < taps` and `j0 + 8V <= positions`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn tap_tile<const V: usize>(
+        w: &[f32],
+        dy: &[f32],
+        map: &ColumnMap,
+        m: usize,
+        t: usize,
+        j0: usize,
+        dxpad: &mut [f32],
+    ) {
+        let (taps, n) = (map.taps(), map.positions());
+        let mut acc = [_mm256_setzero_ps(); V];
+        // Column `t` of the `m × taps` weight matrix, read unchecked.
+        let w_t = w.as_ptr().add(t);
+        for co in 0..m {
+            let a = _mm256_set1_ps(*w_t.add(co * taps));
+            let row = dy.as_ptr().add(co * n + j0);
+            for (v, acc_v) in acc.iter_mut().enumerate() {
+                let d = _mm256_loadu_ps(row.add(v * LANES));
+                *acc_v = _mm256_add_ps(*acc_v, _mm256_mul_ps(a, d));
+            }
+        }
+        let base = map.rows[t];
+        for (v, acc_v) in acc.iter().enumerate() {
+            let j = j0 + v * LANES;
+            if !map.contiguous {
+                let lanes = spill(*acc_v);
+                for (&x, &c) in lanes.iter().zip(map.cols[j..j + LANES].iter()) {
+                    dxpad[base + c as usize] += x;
+                }
+            } else {
+                let dst = dxpad.as_mut_ptr().add(base + map.cols[j] as usize);
+                _mm256_storeu_ps(dst, _mm256_add_ps(_mm256_loadu_ps(dst), *acc_v));
+            }
+        }
     }
 
     /// Lane-ordered sum: 8-lane strided partials, scalar tail folded
@@ -1748,6 +2489,63 @@ mod tests {
                     &want_nt,
                     &format!("matmul_nt_acc[{arm}] {m}x{k}x{n}"),
                 );
+            }
+        }
+    }
+
+    /// The conv kernels read the column matrix in place; materializing
+    /// it and running the dense GEMM family must give the same bits on
+    /// every arm — through the direct and the packed GEMM paths, with
+    /// contiguous runs and with gathered ones.
+    #[test]
+    fn conv_kernels_match_the_materialized_column_matrix() {
+        // (c, h, w, k, stride, padding, dilation, m)
+        for (c, h, w, k, s, p, d, m) in [
+            (
+                2usize, 16usize, 16usize, 9usize, 1usize, 4usize, 1usize, 16usize,
+            ),
+            (16, 16, 16, 9, 1, 4, 1, 1),
+            (3, 11, 13, 3, 1, 1, 1, 5),
+            (2, 9, 12, 3, 2, 1, 2, 4),
+            (1, 1, 1, 6, 1, 3, 1, 2),
+            // Packed path: m ≥ 32 and taps·positions ≥ 32768.
+            (4, 20, 20, 5, 1, 2, 1, 37),
+            (4, 23, 21, 5, 1, 2, 1, 33),
+            (8, 40, 40, 5, 2, 1, 1, 34),
+        ] {
+            let map = ColumnMap::new(c, h, w, k, k, s, p, d);
+            let (taps, n) = (map.taps(), map.positions());
+            let mut xpad = vec![0.0f32; map.padded_len()];
+            map.pad(&rand_vec(map.image_len(), 7), &mut xpad);
+            let mut col = vec![0.0f32; taps * n];
+            for (t, row) in col.chunks_exact_mut(n).enumerate() {
+                map.gather_row(&xpad, t, row);
+            }
+            let wt = rand_vec(m * taps, 8);
+            let dy = rand_vec(m * n, 9);
+            let tag = format!("c{c} {h}x{w} k{k} s{s} p{p} d{d} m{m}");
+
+            let mut want = vec![0.0f32; m * n];
+            matmul_with(SimdBackend::Scalar, &wt, &col, m, taps, n, &mut want);
+            let mut dcol = vec![0.0f32; taps * n];
+            matmul_tn_with(SimdBackend::Scalar, &wt, &dy, taps, m, n, &mut dcol);
+            let mut want_dx = vec![0.0f32; map.padded_len()];
+            for (t, row) in dcol.chunks_exact(n).enumerate() {
+                map.scatter_add_row(&mut want_dx, t, row);
+            }
+            let mut want_dw = rand_vec(m * taps, 10);
+            matmul_nt_acc_with(SimdBackend::Scalar, &dy, &col, m, n, taps, &mut want_dw);
+
+            for arm in arms() {
+                let mut got = vec![f32::NAN; m * n];
+                conv_forward_with(arm, &wt, &xpad, &map, m, &mut got);
+                assert_bits_eq(&got, &want, &format!("conv_forward[{arm}] {tag}"));
+                let mut got_dx = vec![0.0f32; map.padded_len()];
+                conv_input_grad_with(arm, &wt, &dy, &map, m, &mut got_dx);
+                assert_bits_eq(&got_dx, &want_dx, &format!("conv_input_grad[{arm}] {tag}"));
+                let mut got_dw = rand_vec(m * taps, 10);
+                conv_weight_grad_with(arm, &dy, &xpad, &map, m, &mut got_dw);
+                assert_bits_eq(&got_dw, &want_dw, &format!("conv_weight_grad[{arm}] {tag}"));
             }
         }
     }

@@ -24,7 +24,7 @@ use decentralized_routability::fed::{
 };
 use decentralized_routability::nn::models::{FlNet, FlNetConfig};
 use decentralized_routability::tensor::rng::Xoshiro256;
-use decentralized_routability::tensor::simd::{self, SimdBackend};
+use decentralized_routability::tensor::simd::{self, ColumnMap, SimdBackend};
 use decentralized_routability::tensor::Tensor;
 
 /// Tests that mutate the process-global arm serialize on this lock so
@@ -84,6 +84,54 @@ proptest! {
         let mut got_nt = acc0;
         simd::matmul_nt_acc_with(detected(), &a, &bt, m, k, n, &mut got_nt);
         assert_bits_eq(&got_nt, &want_nt, &format!("matmul_nt_acc {m}x{k}x{n}"));
+    }
+
+    /// The in-place conv kernels over a padded image's virtual column
+    /// matrix: scalar vs detected arm, bitwise, over random geometry —
+    /// strides and dilations whose 8-column runs need gathers, output
+    /// widths off the 8-lane grid, and enough output channels to reach
+    /// the packed GEMM path.
+    #[test]
+    fn conv_column_kernels_are_bitwise_arm_invariant(
+        c in 0usize..4,
+        h in 1usize..26,
+        w in 1usize..26,
+        k in 1usize..6,
+        stride in 1usize..3,
+        padding in 0usize..4,
+        dilation in 1usize..3,
+        m_pick in 0usize..4,
+        seed in 0u64..100_000,
+    ) {
+        let eff = dilation * (k - 1) + 1;
+        prop_assume!(h + 2 * padding >= eff && w + 2 * padding >= eff);
+        let m = [1usize, 3, 8, 40][m_pick];
+        let map = ColumnMap::new(c, h, w, k, k, stride, padding, dilation);
+        let (taps, n) = (map.taps(), map.positions());
+        let mut xpad = vec![0.0f32; map.padded_len()];
+        map.pad(&rand_vec(map.image_len(), seed), &mut xpad);
+        let wt = rand_vec(m * taps, seed ^ 1);
+        let dy = rand_vec(m * n, seed ^ 2);
+
+        let mut want = vec![0.0f32; m * n];
+        simd::conv_forward_with(SimdBackend::Scalar, &wt, &xpad, &map, m, &mut want);
+        let mut got = vec![f32::NAN; m * n];
+        simd::conv_forward_with(detected(), &wt, &xpad, &map, m, &mut got);
+        assert_bits_eq(&got, &want, &format!("conv_forward m={m} {map:?}"));
+
+        let dx0 = rand_vec(map.padded_len(), seed ^ 3);
+        let mut want = dx0.clone();
+        simd::conv_input_grad_with(SimdBackend::Scalar, &wt, &dy, &map, m, &mut want);
+        let mut got = dx0;
+        simd::conv_input_grad_with(detected(), &wt, &dy, &map, m, &mut got);
+        assert_bits_eq(&got, &want, &format!("conv_input_grad m={m}"));
+
+        let dw0 = rand_vec(m * taps, seed ^ 4);
+        let mut want = dw0.clone();
+        simd::conv_weight_grad_with(SimdBackend::Scalar, &dy, &xpad, &map, m, &mut want);
+        let mut got = dw0;
+        simd::conv_weight_grad_with(detected(), &dy, &xpad, &map, m, &mut got);
+        assert_bits_eq(&got, &want, &format!("conv_weight_grad m={m}"));
     }
 
     /// Elementwise sweeps and reductions: scalar vs detected arm,
