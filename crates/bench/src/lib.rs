@@ -172,10 +172,7 @@ impl BenchArgs {
             ExperimentConfig::scaled()
         };
         if self.quick {
-            config.corpus.placement_scale = 0.0; // one placement per design
-            config.fed.rounds = 2;
-            config.fed.local_steps = 4;
-            config.fed.finetune_steps = 8;
+            config = config.with_quick_profile();
         }
         if let Some(seed) = self.seed {
             config.corpus.seed = seed;

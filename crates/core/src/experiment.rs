@@ -117,6 +117,16 @@ impl ExperimentConfig {
         self
     }
 
+    /// Applies the `--quick` profile every binary shares: one placement
+    /// per design, 2 rounds of 4 local steps, 8 fine-tuning steps.
+    pub fn with_quick_profile(mut self) -> Self {
+        self.corpus.placement_scale = 0.0;
+        self.fed.rounds = 2;
+        self.fed.local_steps = 4;
+        self.fed.finetune_steps = 8;
+        self
+    }
+
     /// Switches the experiment to the out-of-core path: the corpus lives
     /// as shard files under `dir` and clients stream bounded-memory
     /// chunks. Outcomes are bit-identical to the in-memory default
@@ -557,17 +567,11 @@ pub fn run_table(kind: ModelKind, config: &ExperimentConfig) -> Result<TableResu
 /// wire, only parameters do, because each side regenerates its private
 /// split from the public config.
 ///
-/// Mirrors the `rte-bench` `--quick --seed N --clients K` semantics so
-/// a coordinator table can be compared byte-for-byte against the
-/// in-process bench path.
-pub fn transport_config(clients: usize, seed: u64, quick: bool) -> ExperimentConfig {
-    transport_config_with_rounds(clients, seed, quick, None)
-}
-
-/// [`transport_config`] with an explicit round-count override — what
-/// `rte-coordinator --rounds N` builds, so checkpoint/resume and chaos
-/// runs can be long enough to kill midway. `None` keeps the profile's
-/// default (2 rounds under `--quick`).
+/// `quick` applies [`ExperimentConfig::with_quick_profile`], the same
+/// profile the bench binaries' `--quick` selects. `rounds` overrides the
+/// round count — what `rte-coordinator --rounds N` builds, so
+/// checkpoint/resume and chaos runs can be long enough to kill midway.
+/// `None` keeps the profile's default (2 rounds under `--quick`).
 ///
 /// The round count feeds the checkpoint config digest: a checkpoint
 /// taken under `--rounds 6` cannot be resumed into a `--rounds 4` run.
@@ -579,10 +583,7 @@ pub fn transport_config_with_rounds(
 ) -> ExperimentConfig {
     let mut config = ExperimentConfig::scaled();
     if quick {
-        config.corpus.placement_scale = 0.0; // one placement per design
-        config.fed.rounds = 2;
-        config.fed.local_steps = 4;
-        config.fed.finetune_steps = 8;
+        config = config.with_quick_profile();
     }
     if let Some(rounds) = rounds {
         config.fed.rounds = rounds.max(1);

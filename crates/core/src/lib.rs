@@ -30,6 +30,6 @@ pub mod report;
 pub use error::CoreError;
 pub use experiment::{
     build_clients, build_experiment_clients, build_streaming_clients, mmap_shard_client_set,
-    model_factory, run_method_on_clients, run_table, shard_client_set, transport_config,
+    model_factory, run_method_on_clients, run_table, shard_client_set,
     transport_config_with_rounds, ExperimentConfig, ShardBackend, TableResult,
 };

@@ -121,6 +121,12 @@ impl std::fmt::Display for Aggregation {
     }
 }
 
+/// Largest local step count a round may ask of a client: 100× the
+/// paper's `S`. [`FedConfig::validate_core`] enforces it on the
+/// coordinator, and a client rejects a decoded deploy above it, so a
+/// hostile or corrupt deploy cannot pin a client for `u64::MAX` steps.
+pub const MAX_LOCAL_STEPS: usize = 10_000;
+
 /// Hyper-parameters of the federated experiments (paper §5.1).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FedConfig {
@@ -252,12 +258,20 @@ impl FedConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`FedError::InvalidConfig`] for zero rounds/steps/batch or
-    /// out-of-range α/μ.
+    /// Returns [`FedError::InvalidConfig`] for zero rounds/steps/batch,
+    /// `local_steps` above [`MAX_LOCAL_STEPS`], or out-of-range α/μ.
     pub fn validate_core(&self) -> Result<(), FedError> {
         if self.rounds == 0 || self.local_steps == 0 || self.batch_size == 0 {
             return Err(FedError::InvalidConfig {
                 reason: "rounds, local_steps and batch_size must be positive".into(),
+            });
+        }
+        if self.local_steps > MAX_LOCAL_STEPS {
+            return Err(FedError::InvalidConfig {
+                reason: format!(
+                    "local_steps {} exceeds MAX_LOCAL_STEPS {MAX_LOCAL_STEPS}",
+                    self.local_steps
+                ),
             });
         }
         if !(0.0..=1.0).contains(&self.alpha) {
@@ -349,6 +363,7 @@ mod tests {
         assert_eq!(c.alpha, 0.5);
         assert_eq!(c.clusters, 4);
         assert_eq!(c.assigned_clusters.len(), 4);
+        assert!(MAX_LOCAL_STEPS >= c.local_steps);
     }
 
     #[test]
@@ -366,6 +381,10 @@ mod tests {
         let mut c = FedConfig::tiny();
         c.alpha = 2.0;
         assert!(c.validate(2).is_err());
+
+        let mut c = FedConfig::tiny();
+        c.local_steps = MAX_LOCAL_STEPS + 1;
+        assert!(c.validate(2).is_err(), "above the client step cap");
 
         let mut c = FedConfig::tiny();
         c.assigned_clusters = vec![vec![0, 0], vec![1]];

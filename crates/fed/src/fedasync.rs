@@ -15,12 +15,11 @@
 //! [`EventQueue`] ordered by `(tick, lane, seq)` — so the arrival
 //! order, staleness values, and every aggregate are byte-identical
 //! across runs, thread counts, and machines
-//! (`tests/fedasync_replay.rs` pins this). The documented opt-out is
-//! [`run_fedasync_wall`], which takes true wall-clock arrival order
-//! from a [`rte_net::FanIn`] and is *not* reproducible — CI never runs
-//! it beyond a smoke check.
+//! (`tests/fedasync_replay.rs` pins this). Stragglers and dropouts are
+//! modelled on the virtual clock too, so no schedule depends on real
+//! arrival order.
 
-use rte_net::{EventQueue, SplitMix64, Transport, VirtualClock, WallClock};
+use rte_net::{EventQueue, SplitMix64, Transport, VirtualClock};
 use rte_nn::StateDict;
 
 use crate::federation::{ClientSession, COORDINATOR};
@@ -126,8 +125,7 @@ impl AsyncConfig {
 pub struct AsyncRoundRecord {
     /// 1-based index of this aggregation.
     pub aggregation: usize,
-    /// Virtual tick (or wall milliseconds in the opt-out) at which the
-    /// buffer filled.
+    /// Virtual tick at which the buffer filled.
     pub tick: u64,
     /// The buffered arrivals as `(client, staleness)`, in arrival order.
     pub arrivals: Vec<(usize, u64)>,
@@ -210,7 +208,7 @@ impl TrainExecutor for LocalExecutor<'_> {
 
 /// Transport-backed executor: each slot is a synchronous deploy/update
 /// exchange on the client's link, with the dispatch id carried in the
-/// deploy's `round` field.
+/// deploy's `round` field and the client as its only participant.
 pub struct LinkExecutor<'a, T: Transport> {
     links: &'a mut [T],
     seq: u64,
@@ -238,7 +236,7 @@ impl<T: Transport> TrainExecutor for LinkExecutor<'_, T> {
             Message::Deploy {
                 round: dispatch,
                 steps: steps as u64,
-                participants: Vec::new(),
+                participants: vec![client as u32],
                 state: start.clone(),
             },
             COORDINATOR,
@@ -278,9 +276,8 @@ impl<T: Transport> TrainExecutor for LinkExecutor<'_, T> {
     }
 }
 
-/// The staleness-weighted buffered aggregation core, shared by the
-/// virtual-clock and wall-clock drivers so the opt-out cannot drift
-/// from the pinned semantics.
+/// The staleness-weighted buffered aggregation core: the global model,
+/// its version, and the arrivals waiting for the buffer to fill.
 struct Buffered<'h, 'a> {
     harness: &'h Harness<'a>,
     cfg: AsyncConfig,
@@ -498,120 +495,6 @@ pub fn run_fedasync<E: TrainExecutor>(
     }
 
     executor.shutdown()?;
-    let per_client = harness.eval_global(&state.global)?;
-    let outcome = MethodOutcome::new(Method::FedProx, per_client, Vec::new());
-    Ok((outcome, state.records))
-}
-
-/// The documented **non-deterministic** opt-out: buffered async driven
-/// by true wall-clock arrival order from a [`rte_net::FanIn`].
-///
-/// `send_links[k]` must be the write side of the connection whose read
-/// side went into `fan` at index `k`. Dropout/rejoin simulation is a
-/// virtual-clock feature and does not apply here — real clients are as
-/// slow as they really are. Record `tick`s are wall milliseconds.
-/// Nothing about this mode is reproducible; CI only smoke-checks it.
-///
-/// # Errors
-///
-/// Returns [`FedError::InvalidConfig`] for an invalid schedule, or any
-/// training/transport failure.
-pub fn run_fedasync_wall<S: Transport>(
-    clients: &[Client],
-    factory: &ModelFactory,
-    config: &FedConfig,
-    async_cfg: &AsyncConfig,
-    send_links: &mut [S],
-    fan: &mut rte_net::FanIn,
-) -> Result<(MethodOutcome, Vec<AsyncRoundRecord>), FedError> {
-    async_cfg.validate(clients.len())?;
-    if send_links.len() != clients.len() || fan.links() != clients.len() {
-        return Err(FedError::InvalidConfig {
-            reason: format!(
-                "{} send links / {} fan links for {} clients",
-                send_links.len(),
-                fan.links(),
-                clients.len()
-            ),
-        });
-    }
-    let harness = Harness::new(clients, factory, config)?;
-    let mut scratch = Harness::new(clients, factory, config)?;
-    let global = scratch.initial_state();
-    let mut state = Buffered::new(&harness, async_cfg.clone(), global);
-    let clock = WallClock::new();
-    let mut seq = 0u64;
-    let mut dispatched_at = vec![0usize; clients.len()];
-
-    let deploy = |client: usize,
-                  version: usize,
-                  global: &StateDict,
-                  seq: &mut u64,
-                  dispatched_at: &mut [usize],
-                  send_links: &mut [S]|
-     -> Result<(), FedError> {
-        dispatched_at[client] = version;
-        let s = *seq;
-        *seq += 1;
-        send_message(
-            &mut send_links[client],
-            Message::Deploy {
-                round: s,
-                steps: config.local_steps as u64,
-                participants: Vec::new(),
-                state: global.clone(),
-            },
-            COORDINATOR,
-            s,
-        )
-    };
-
-    for client in 0..clients.len() {
-        deploy(
-            client,
-            0,
-            &state.global,
-            &mut seq,
-            &mut dispatched_at,
-            send_links,
-        )?;
-    }
-    while !state.done() {
-        let (index, frame) = fan.recv_any().map_err(crate::wire::net_err)?;
-        let message = Message::from_frame(&frame)?;
-        let Message::Update {
-            client,
-            loss,
-            state: trained,
-            ..
-        } = message
-        else {
-            return Err(FedError::Transport {
-                reason: format!("expected async update, got kind {}", message.kind()),
-            });
-        };
-        if client as usize != index {
-            return Err(FedError::Transport {
-                reason: format!("client {client} answered on link {index}"),
-            });
-        }
-        let landed = clock.elapsed_ms();
-        state.offer(index, dispatched_at[index], trained, loss, landed)?;
-        if !state.done() {
-            deploy(
-                index,
-                state.version,
-                &state.global,
-                &mut seq,
-                &mut dispatched_at,
-                send_links,
-            )?;
-        }
-    }
-    for link in send_links.iter_mut() {
-        let _ = send_message(link, Message::Shutdown, COORDINATOR, seq);
-        seq += 1;
-    }
     let per_client = harness.eval_global(&state.global)?;
     let outcome = MethodOutcome::new(Method::FedProx, per_client, Vec::new());
     Ok((outcome, state.records))

@@ -1,12 +1,12 @@
 //! Federated rounds as an exchange of serialized deltas over a
-//! [`Transport`].
+//! [`Transport`]: the client half.
 //!
 //! This is the seam the paper's deployment story needs: the same
 //! FedProx round loop that `methods::fedprox` runs in-process, split
-//! into a coordinator half ([`run_rounds_over`]) and a client half
-//! ([`ClientSession`]) that only talk through [`crate::wire::Message`]s.
-//! The split is engineered to be *bit-identical* to the in-process
-//! path:
+//! into a coordinator half ([`crate::run_rounds_resilient`]) and a
+//! client half ([`ClientSession`]) that only talk through
+//! [`crate::wire::Message`]s. The split is engineered to be
+//! *bit-identical* to the in-process path:
 //!
 //! - both sides derive their RNG streams from the same
 //!   `methods::fleet_rng(seed)` root, and a client's training stream is
@@ -21,6 +21,11 @@
 //! `tests/transport_determinism.rs` pins the equivalence across the
 //! in-process harness, the channel backend, and the UDS backend.
 //!
+//! A session checks every decoded deploy before training on it: the
+//! step count is capped by [`crate::MAX_LOCAL_STEPS`], and the
+//! participant list must be sorted, unique, in range, and name the
+//! receiver. A violation is a typed [`FedError::Transport`].
+//!
 //! With a [`SecureConfig`], clients send pairwise-masked quantized
 //! updates instead of raw parameters ([`crate::secure`]), and the
 //! coordinator can only recover the *sum* — never an individual update.
@@ -29,23 +34,13 @@ use rte_net::{ChannelTransport, Frame, NetError, Transport};
 use rte_nn::{load_state_dict, state_dict, StateDict};
 use rte_tensor::rng::Xoshiro256;
 
-use crate::methods::{
-    fleet_rng, mean_loss, round_client_rng, ClientUpdate, Harness, MethodOutcome, RoundRecord,
-};
-use crate::params::aggregate;
-use crate::secure::{aggregate_masked, mask_update, MaskedUpdate, SecureConfig};
-use crate::wire::{net_err, recv_message_within, send_message, Message};
-use crate::{Client, FedConfig, FedError, LocalTrainer, Method, ModelFactory};
+use crate::methods::{fleet_rng, round_client_rng};
+use crate::secure::{mask_update, SecureConfig};
+use crate::wire::{net_err, send_message, Message};
+use crate::{Client, FedConfig, FedError, LocalTrainer, ModelFactory, MAX_LOCAL_STEPS};
 
 /// The coordinator's frame sender id (clients are `1 + fleet index`).
 pub const COORDINATOR: u32 = 0;
-
-/// Upper bound on how long the plain coordinator loop waits for any
-/// single client update. Not a tuning knob — just the guarantee that a
-/// stalled or half-dead peer surfaces as a typed timeout instead of
-/// wedging the coordinator forever (the resilient loop's
-/// [`crate::FaultPolicy`] is the configurable version).
-const COLLECT_DEADLINE: std::time::Duration = std::time::Duration::from_secs(600);
 
 /// Byte/frame counters a [`LocalLink`] accumulates — the measured
 /// communication cost of a federated run over the wire codec.
@@ -170,7 +165,8 @@ impl<'a> ClientSession<'a> {
     /// # Errors
     ///
     /// Returns [`FedError::Transport`] for messages a client must never
-    /// receive, or any training failure.
+    /// receive or a deploy that fails its checks (step cap, participant
+    /// list), or any training failure.
     pub fn handle(&mut self, message: Message) -> Result<Option<Message>, FedError> {
         match message {
             Message::Deploy {
@@ -179,7 +175,8 @@ impl<'a> ClientSession<'a> {
                 participants,
                 state,
             } => {
-                let (out, loss) = self.train_slot(round, steps as usize, &state)?;
+                let steps = self.check_deploy(steps, &participants)?;
+                let (out, loss) = self.train_slot(round, steps, &state)?;
                 let reply = if let Some(cfg) = self.secure {
                     let masked = mask_update(
                         &out,
@@ -213,6 +210,41 @@ impl<'a> ClientSession<'a> {
                 ),
             }),
         }
+    }
+
+    /// Checks a decoded deploy before any training starts: `steps` in
+    /// `1..=MAX_LOCAL_STEPS`, and `participants` sorted, unique, within
+    /// the fleet, and naming this client. Returns the step count.
+    fn check_deploy(&self, steps: u64, participants: &[u32]) -> Result<usize, FedError> {
+        let reject = |reason: String| {
+            Err(FedError::Transport {
+                reason: format!("client {} rejected a deploy: {reason}", self.me),
+            })
+        };
+        let steps = match usize::try_from(steps) {
+            Ok(s) if (1..=MAX_LOCAL_STEPS).contains(&s) => s,
+            _ => return reject(format!("steps {steps} outside 1..={MAX_LOCAL_STEPS}")),
+        };
+        if !participants.windows(2).all(|w| w[0] < w[1]) {
+            return reject(format!(
+                "participants {participants:?} not sorted and unique"
+            ));
+        }
+        if participants
+            .last()
+            .is_some_and(|&last| last as usize >= self.clients.len())
+        {
+            return reject(format!(
+                "participants {participants:?} out of range for {} clients",
+                self.clients.len()
+            ));
+        }
+        if participants.binary_search(&(self.me as u32)).is_err() {
+            return reject(format!(
+                "participants {participants:?} leave out the receiver"
+            ));
+        }
+        Ok(steps)
     }
 
     /// Sends the opening [`Message::Hello`].
@@ -421,167 +453,6 @@ impl Transport for LocalLink<'_> {
     }
 }
 
-/// Validates an update's envelope against what the coordinator expects.
-fn check_envelope(
-    round: usize,
-    expected: usize,
-    got_round: u64,
-    got_client: u32,
-) -> Result<(), FedError> {
-    if got_round != round as u64 || got_client != expected as u32 {
-        return Err(FedError::Transport {
-            reason: format!(
-                "expected round {round} update from client {expected}, \
-                 got round {got_round} from client {got_client}"
-            ),
-        });
-    }
-    Ok(())
-}
-
-/// Runs the FedProx round loop with every client behind a transport
-/// link: `links[k]` speaks to fleet client `k`. Deploys go to, and
-/// updates are collected from, participants in `Harness::participants`
-/// order, so the outcome is bit-identical to [`crate::methods::run_method`]
-/// on the same inputs (pinned by `tests/transport_determinism.rs`).
-///
-/// With `secure`, clients return pairwise-masked quantized updates and
-/// the aggregate is the exact masked weighted mean ([`crate::secure`]);
-/// this path is privacy-preserving but quantized, so it is *not*
-/// bit-identical to the plain path (it is bit-identical to the plain
-/// *quantized* path, which the secure-aggregation property tests pin).
-///
-/// # Errors
-///
-/// - [`FedError::InvalidConfig`] for a non-FedProx method, a link/fleet
-///   size mismatch, or secure mode with a non-weighted-mean rule.
-/// - [`FedError::Transport`] for wire damage or protocol violations.
-/// - [`FedError::SecureAggregation`] when masked updates cannot cancel.
-pub fn run_rounds_over<T: Transport>(
-    method: Method,
-    clients: &[Client],
-    factory: &ModelFactory,
-    config: &FedConfig,
-    links: &mut [T],
-    secure: Option<SecureConfig>,
-) -> Result<MethodOutcome, FedError> {
-    if method != Method::FedProx {
-        return Err(FedError::InvalidConfig {
-            reason: format!("only the FedProx family runs over a transport, not {method}"),
-        });
-    }
-    if links.len() != clients.len() {
-        return Err(FedError::InvalidConfig {
-            reason: format!("{} links for {} clients", links.len(), clients.len()),
-        });
-    }
-    if secure.is_some() && config.aggregation != crate::Aggregation::WeightedMean {
-        return Err(FedError::InvalidConfig {
-            reason: "secure aggregation supports only the weighted mean \
-                     (robust rules need individual updates)"
-                .into(),
-        });
-    }
-
-    let mut harness = Harness::new(clients, factory, config)?;
-    let mut global = harness.initial_state();
-    let mut history = Vec::new();
-    let mut seq = 0u64;
-    for round in 1..=config.rounds {
-        let participants = harness.participants(round);
-        let part_ids: Vec<u32> = participants.iter().map(|&k| k as u32).collect();
-        for &k in &participants {
-            send_message(
-                &mut links[k],
-                Message::Deploy {
-                    round: round as u64,
-                    steps: config.local_steps as u64,
-                    participants: part_ids.clone(),
-                    state: global.clone(),
-                },
-                COORDINATOR,
-                seq,
-            )?;
-            seq += 1;
-        }
-        if let Some(cfg) = secure {
-            let mut masked: Vec<MaskedUpdate> = Vec::with_capacity(participants.len());
-            let mut losses: Vec<f32> = Vec::with_capacity(participants.len());
-            for &k in &participants {
-                let (_, message) = recv_message_within(&mut links[k], COLLECT_DEADLINE)?;
-                match message {
-                    Message::SecureUpdate {
-                        round: r,
-                        client,
-                        loss,
-                        masked: m,
-                    } => {
-                        check_envelope(round, k, r, client)?;
-                        masked.push(m);
-                        losses.push(loss);
-                    }
-                    other => {
-                        return Err(FedError::Transport {
-                            reason: format!("expected secure update, got kind {}", other.kind()),
-                        })
-                    }
-                }
-            }
-            let weight_sum: f64 = participants
-                .iter()
-                .map(|&k| clients[k].weight() as f64)
-                .sum();
-            global = aggregate_masked(&masked, &part_ids, weight_sum, &cfg)?;
-            if harness.should_record(round) {
-                let reports = harness.eval_global(&global)?;
-                let loss = losses.iter().map(|&l| l as f64).sum::<f64>() / losses.len() as f64;
-                history.push(RoundRecord::new(round, reports, loss));
-            }
-        } else {
-            let mut updates: Vec<ClientUpdate> = Vec::with_capacity(participants.len());
-            for &k in &participants {
-                let (_, message) = recv_message_within(&mut links[k], COLLECT_DEADLINE)?;
-                match message {
-                    Message::Update {
-                        round: r,
-                        client,
-                        loss,
-                        state,
-                    } => {
-                        check_envelope(round, k, r, client)?;
-                        updates.push(ClientUpdate {
-                            client: k,
-                            state,
-                            loss,
-                        });
-                    }
-                    other => {
-                        return Err(FedError::Transport {
-                            reason: format!("expected plain update, got kind {}", other.kind()),
-                        })
-                    }
-                }
-            }
-            let refs: Vec<(&StateDict, f64)> = updates
-                .iter()
-                .map(|u| (&u.state, clients[u.client].weight() as f64))
-                .collect();
-            global = aggregate(&refs, config.aggregation)?;
-            if harness.should_record(round) {
-                let reports = harness.eval_global(&global)?;
-                history.push(RoundRecord::new(round, reports, mean_loss(&updates)));
-            }
-        }
-    }
-    for link in links.iter_mut() {
-        // A client that already hung up is fine — the run is over.
-        let _ = send_message(link, Message::Shutdown, COORDINATOR, seq);
-        seq += 1;
-    }
-    let per_client = harness.eval_global(&global)?;
-    Ok(MethodOutcome::new(Method::FedProx, per_client, history))
-}
-
 /// Builds one [`LocalLink`] per fleet client — the channel-backend
 /// convenience used by the transport determinism tests and the
 /// `--transport channel` bench path.
@@ -609,6 +480,31 @@ mod tests {
     use super::*;
     use crate::methods::run_method;
     use crate::methods::test_support::{clients, factory};
+    use crate::{run_rounds_resilient, FaultPolicy, Method, MethodOutcome};
+
+    fn run_over(
+        clients: &[Client],
+        factory: &ModelFactory,
+        config: &FedConfig,
+        links: &mut [LocalLink<'_>],
+        secure: Option<SecureConfig>,
+    ) -> Result<MethodOutcome, FedError> {
+        let policy = FaultPolicy {
+            secure,
+            ..FaultPolicy::default()
+        };
+        run_rounds_resilient(clients, factory, config, links, &policy, None, None)
+            .map(|run| run.outcome)
+    }
+
+    fn deploy(steps: u64, participants: Vec<u32>) -> Message {
+        Message::Deploy {
+            round: 1,
+            steps,
+            participants,
+            state: StateDict::new(),
+        }
+    }
 
     #[test]
     fn channel_rounds_match_in_process_bitwise() {
@@ -618,15 +514,7 @@ mod tests {
         config.eval_every = 1;
         let reference = run_method(Method::FedProx, &clients, &factory, &config).unwrap();
         let mut links = local_links(&clients, &factory, &config, None).unwrap();
-        let wired = run_rounds_over(
-            Method::FedProx,
-            &clients,
-            &factory,
-            &config,
-            &mut links,
-            None,
-        )
-        .unwrap();
+        let wired = run_over(&clients, &factory, &config, &mut links, None).unwrap();
         assert_eq!(wired, reference);
         assert!(links[0].stats.frames_sent > 0);
         assert!(links[0].stats.bytes_received > 0);
@@ -639,35 +527,9 @@ mod tests {
         let config = FedConfig::tiny();
         let secure = Some(SecureConfig::default());
         let mut links = local_links(&clients, &factory, &config, secure).unwrap();
-        let outcome = run_rounds_over(
-            Method::FedProx,
-            &clients,
-            &factory,
-            &config,
-            &mut links,
-            secure,
-        )
-        .unwrap();
+        let outcome = run_over(&clients, &factory, &config, &mut links, secure).unwrap();
         assert_eq!(outcome.per_client_auc.len(), 3);
         assert!(outcome.average_auc.is_finite());
-    }
-
-    #[test]
-    fn non_fedprox_methods_are_rejected() {
-        let clients = clients(2);
-        let factory = factory();
-        let config = FedConfig::tiny();
-        let mut links = local_links(&clients, &factory, &config, None).unwrap();
-        let err = run_rounds_over(
-            Method::LocalOnly,
-            &clients,
-            &factory,
-            &config,
-            &mut links,
-            None,
-        )
-        .unwrap_err();
-        assert!(matches!(err, FedError::InvalidConfig { .. }), "{err}");
     }
 
     #[test]
@@ -676,14 +538,36 @@ mod tests {
         let factory = factory();
         let config = FedConfig::tiny();
         let mut links = local_links(&clients[..1], &factory, &config, None).unwrap();
-        assert!(run_rounds_over(
-            Method::FedProx,
-            &clients,
-            &factory,
-            &config,
-            &mut links,
-            None
-        )
-        .is_err());
+        assert!(run_over(&clients, &factory, &config, &mut links, None).is_err());
+    }
+
+    #[test]
+    fn deploy_with_unbounded_steps_is_rejected() {
+        let clients = clients(2);
+        let factory = factory();
+        let config = FedConfig::tiny();
+        let mut session = ClientSession::new(&clients, 1, &factory, &config, None).unwrap();
+        for steps in [u64::MAX, MAX_LOCAL_STEPS as u64 + 1, 0] {
+            let err = session.handle(deploy(steps, vec![0, 1])).unwrap_err();
+            assert!(
+                matches!(&err, FedError::Transport { reason } if reason.contains("steps")),
+                "steps {steps}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn deploy_leaving_out_the_receiver_is_rejected() {
+        let clients = clients(3);
+        let factory = factory();
+        let config = FedConfig::tiny();
+        let mut session = ClientSession::new(&clients, 1, &factory, &config, None).unwrap();
+        for participants in [vec![0, 2], vec![], vec![1, 0], vec![1, 1], vec![1, 3]] {
+            let err = session.handle(deploy(2, participants.clone())).unwrap_err();
+            assert!(
+                matches!(err, FedError::Transport { .. }),
+                "{participants:?}: {err}"
+            );
+        }
     }
 }

@@ -25,19 +25,19 @@
 //!   memory, bit-identically to the in-memory path,
 //! - [`wire`] / [`federation`] — a federated round as an exchange of
 //!   serialized parameter deltas over an `rte_net` [`rte_net::Transport`]:
-//!   typed [`wire::Message`]s on hardened frames, the client-side
-//!   [`ClientSession`], and the coordinator loop [`run_rounds_over`]
-//!   that is bit-identical to the in-process FedProx path,
+//!   typed [`wire::Message`]s on hardened frames and the client-side
+//!   [`ClientSession`], which checks every decoded deploy,
 //! - [`secure`] — pairwise-masked secure aggregation with exact
 //!   fixed-point arithmetic (the coordinator recovers only the sum),
 //! - [`fedasync`] — buffered staleness-weighted asynchronous rounds on
-//!   a seeded virtual clock (determinism rule 8), with the wall-clock
-//!   opt-out,
-//! - [`resilient`] — the fault-tolerant coordinator loop: per-client
-//!   deadlines, seeded retries, and quorum-based graceful degradation
-//!   (missing clients become typed [`RoundEvent`]s, survivors reweight
-//!   deterministically) — built to pair with `rte_net`'s seeded
-//!   [`rte_net::ChaosTransport`] (determinism rule 9),
+//!   a seeded virtual clock (determinism rule 8),
+//! - [`resilient`] — the coordinator's one synchronous round loop,
+//!   [`run_rounds_resilient`]: bit-identical to the in-process FedProx
+//!   path when faultless, with per-client deadlines, seeded retries, and
+//!   quorum-based graceful degradation (missing clients become typed
+//!   [`RoundEvent`]s, survivors reweight deterministically) — built to
+//!   pair with `rte_net`'s seeded [`rte_net::ChaosTransport`]
+//!   (determinism rule 9) — plain or secure per [`FaultPolicy::secure`],
 //! - [`checkpoint`] — versioned CRC'd coordinator checkpoints written
 //!   atomically, so a killed run resumes bit-identically.
 //!
@@ -129,16 +129,14 @@ pub use checkpoint::{
     CheckpointError,
 };
 pub use client::{Client, ClientSet};
-pub use config::{Aggregation, FedConfig, Method};
+pub use config::{Aggregation, FedConfig, Method, MAX_LOCAL_STEPS};
 pub use error::FedError;
 pub use eval::{evaluate_auc, evaluate_report, EvalReport, Evaluator};
 pub use fedasync::{
-    render_async_history, run_fedasync, run_fedasync_wall, AsyncConfig, AsyncRoundRecord,
-    LinkExecutor, LocalExecutor, TrainExecutor,
+    render_async_history, run_fedasync, AsyncConfig, AsyncRoundRecord, LinkExecutor, LocalExecutor,
+    TrainExecutor,
 };
-pub use federation::{
-    local_links, run_rounds_over, ClientSession, LocalLink, ServeExit, WireStats,
-};
+pub use federation::{local_links, ClientSession, LocalLink, ServeExit, WireStats};
 pub use methods::{MethodOutcome, RoundRecord};
 pub use resilient::{
     run_rounds_resilient, FaultPolicy, ResilientOutcome, ResumePoint, RoundEvent, RoundHook,

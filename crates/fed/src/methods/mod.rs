@@ -147,18 +147,20 @@ pub(crate) struct TrainJob<'s> {
 }
 
 /// What one client sends back to the coordinator after local training.
-pub(crate) struct ClientUpdate {
+/// `S` is the payload: the trained parameters, or over a secure link a
+/// masked share of them.
+pub(crate) struct ClientUpdate<S = StateDict> {
     /// Client position (mirrors [`TrainJob::client`]).
     pub client: usize,
     /// The locally trained parameters.
-    pub state: StateDict,
+    pub state: S,
     /// Mean training loss over the local steps (surfaced through
     /// [`RoundRecord::mean_train_loss`]).
     pub loss: f32,
 }
 
 /// Mean of the training losses a round's participants reported.
-pub(crate) fn mean_loss(updates: &[ClientUpdate]) -> f64 {
+pub(crate) fn mean_loss<S>(updates: &[ClientUpdate<S>]) -> f64 {
     if updates.is_empty() {
         return 0.0;
     }

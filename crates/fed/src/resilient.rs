@@ -1,14 +1,16 @@
-//! Fault-tolerant coordinator rounds: deadlines, retries, and
+//! The coordinator's synchronous round loop: deadlines, retries, and
 //! quorum-based graceful degradation.
 //!
-//! [`run_rounds_resilient`] is [`crate::run_rounds_over`]'s hardened
-//! sibling: every client read goes through
+//! [`run_rounds_resilient`] is the one loop that drives FedProx rounds
+//! over transport links: every client read goes through
 //! [`Transport::recv_timeout`], a failed slot is re-deployed under a
 //! seeded [`RetryPolicy`], and a round may complete with a *subset* of
 //! its participants — survivors are reweighted deterministically (the
 //! weighted aggregate normalizes by the surviving weight sum), missing
 //! clients become typed [`RoundEvent`]s, and only falling below
-//! `min_quorum` aborts the run (as [`FedError::QuorumLost`]).
+//! `min_quorum` aborts the run (as [`FedError::QuorumLost`]). Faultless,
+//! it is bit-identical to the in-process FedProx path
+//! (`tests/transport_determinism.rs` pins this).
 //!
 //! Determinism under chaos (contract rule 9): re-training a re-deployed
 //! slot is bit-identical to the first attempt (the per-`(round, client)`
@@ -18,9 +20,12 @@
 //! whole faulty run over the channel backend touches no wall clock and
 //! replays bit for bit.
 //!
-//! The loop is plain-aggregation only: secure aggregation's pairwise
-//! masks cancel only over the *full* mask set, so a quorum shortfall
-//! would make the sum garbage — the combination is rejected up front.
+//! With [`FaultPolicy::secure`] set, clients answer with pairwise-masked
+//! shares and the round aggregates them with [`aggregate_masked`]. Masks
+//! cancel only over the *full* participant set, so a secure round needs
+//! every participant back; retries still apply, because re-masking a
+//! re-deployed slot is deterministic and a retried share equals the lost
+//! one.
 
 use std::fmt;
 use std::time::Duration;
@@ -31,8 +36,9 @@ use rte_nn::StateDict;
 use crate::federation::COORDINATOR;
 use crate::methods::{mean_loss, ClientUpdate, Harness, MethodOutcome, RoundRecord};
 use crate::params::aggregate;
+use crate::secure::{aggregate_masked, MaskedUpdate, SecureConfig};
 use crate::wire::{net_err, send_message, Message};
-use crate::{Client, FedConfig, FedError, Method, ModelFactory};
+use crate::{Aggregation, Client, FedConfig, FedError, Method, ModelFactory};
 
 /// How many stale or duplicate frames one client slot may drain in one
 /// round before the slot is declared missed — bounds the loop when a
@@ -52,6 +58,10 @@ pub struct FaultPolicy {
     /// Minimum surviving updates a round needs; fewer aborts the run
     /// with [`FedError::QuorumLost`]. Clamped to at least 1.
     pub min_quorum: usize,
+    /// Pairwise-masked secure aggregation (`None` = plain updates). The
+    /// links' client sessions must be built with the same setting; a
+    /// reply of the other kind is a fatal [`FedError::Transport`].
+    pub secure: Option<SecureConfig>,
 }
 
 impl Default for FaultPolicy {
@@ -60,6 +70,7 @@ impl Default for FaultPolicy {
             deadline: Duration::from_secs(5),
             retry: RetryPolicy::default(),
             min_quorum: 1,
+            secure: None,
         }
     }
 }
@@ -163,10 +174,14 @@ pub struct ResilientOutcome {
 /// `(round, seq, global state)` — the checkpoint writer's shape.
 pub type RoundHook<'a> = dyn FnMut(usize, u64, &StateDict) -> Result<(), FedError> + 'a;
 
-/// Runs the FedProx round loop with per-client deadlines, seeded
-/// retries, and quorum degradation. `on_round` fires after every
-/// completed round with `(round, seq, global state)` — the checkpoint
-/// writer's hook; an error from it aborts the run.
+/// Runs the FedProx round loop over `links` (`links[k]` speaks to fleet
+/// client `k`) with per-client deadlines, seeded retries, and quorum
+/// degradation. Deploys go to, and updates are collected from,
+/// participants in `Harness::participants` order, so a faultless run is
+/// bit-identical to [`crate::methods::run_method`] on the same inputs.
+/// `on_round` fires after every completed round with `(round, seq,
+/// global state)` — the checkpoint writer's hook; an error from it
+/// aborts the run.
 ///
 /// With `resume`, rounds `1..=resume.round` are skipped and the global
 /// state starts from the resume point: because participant selection
@@ -175,13 +190,20 @@ pub type RoundHook<'a> = dyn FnMut(usize, u64, &StateDict) -> Result<(), FedErro
 /// uninterrupted run's (round history before the resume point is not
 /// re-recorded — resumed runs are for final-table workloads).
 ///
+/// With [`FaultPolicy::secure`], the aggregate is the exact masked
+/// weighted mean ([`crate::secure`]): privacy-preserving but quantized,
+/// so it is bit-identical to the plain *quantized* path, not to the
+/// plain path.
+///
 /// # Errors
 ///
 /// - [`FedError::InvalidConfig`] for link/fleet mismatches, a quorum
-///   larger than the fleet, or a resume point past the end.
+///   larger than the fleet, a resume point past the end, or secure mode
+///   with a non-weighted-mean rule.
 /// - [`FedError::QuorumLost`] when a round's survivors fall below
-///   `min_quorum`.
+///   `min_quorum` — or, in secure mode, below the participant count.
 /// - [`FedError::Transport`] for protocol violations no retry can fix.
+/// - [`FedError::SecureAggregation`] when masked updates cannot cancel.
 pub fn run_rounds_resilient<T: Transport>(
     clients: &[Client],
     factory: &ModelFactory,
@@ -204,6 +226,13 @@ pub fn run_rounds_resilient<T: Transport>(
                 min_quorum,
                 clients.len()
             ),
+        });
+    }
+    if policy.secure.is_some() && config.aggregation != Aggregation::WeightedMean {
+        return Err(FedError::InvalidConfig {
+            reason: "secure aggregation supports only the weighted mean \
+                     (robust rules need individual updates)"
+                .into(),
         });
     }
 
@@ -232,104 +261,80 @@ pub fn run_rounds_resilient<T: Transport>(
     for round in start_round..=config.rounds {
         let participants = harness.participants(round);
         let part_ids: Vec<u32> = participants.iter().map(|&k| k as u32).collect();
-        let deploy = |round: usize, steps: usize| Message::Deploy {
-            round: round as u64,
-            steps: steps as u64,
-            participants: part_ids.clone(),
-            state: global.clone(),
+        let send_deploy = |link: &mut T, seq: u64| {
+            let deploy = Message::Deploy {
+                round: round as u64,
+                steps: config.local_steps as u64,
+                participants: part_ids.clone(),
+                state: global.clone(),
+            };
+            send_message(link, deploy, COORDINATOR, seq).map_err(|e| e.to_string())
         };
         // First deploy wave, in fixed participant order. A send that
-        // fails outright marks the slot dead for this round (the
-        // collect phase records the miss).
-        let mut send_failed = vec![false; clients.len()];
+        // fails outright is kept as the slot's first failed attempt.
+        let mut failed_send: Vec<Option<String>> = vec![None; clients.len()];
         for &k in &participants {
-            if let Err(e) = send_message(
-                &mut links[k],
-                deploy(round, config.local_steps),
-                COORDINATOR,
-                seq,
-            ) {
-                events.push(RoundEvent::Retry {
-                    round,
-                    client: k,
-                    attempt: 0,
-                    reason: e.to_string(),
-                });
-                send_failed[k] = true;
-            }
+            failed_send[k] = send_deploy(&mut links[k], seq).err();
             seq += 1;
         }
         // Collect phase, same fixed order: each slot gets `attempts`
-        // tries; a failed try re-deploys (re-training the slot is
-        // bit-identical, so a retried update equals the lost one).
-        let mut updates: Vec<ClientUpdate> = Vec::with_capacity(participants.len());
+        // tries; a failed try backs off and re-deploys (re-training the
+        // slot is bit-identical, so a retried update equals the lost one).
+        let mut updates: Vec<ClientUpdate<Reply>> = Vec::with_capacity(participants.len());
         for &k in &participants {
             let mut attempt = 0u32;
             let mut stale_budget = STALE_BUDGET;
             let collected = loop {
-                if send_failed[k] {
-                    send_failed[k] = false;
-                    // The deploy never left: skip straight to a retry.
-                    attempt += 1;
-                    if attempt >= attempts {
-                        break None;
-                    }
-                }
-                match recv_update(&mut links[k], policy.deadline) {
-                    Ok((got_round, got_client, loss, state)) => {
-                        if got_round == round as u64 && got_client == k as u32 {
-                            break Some(ClientUpdate {
+                let reason = match failed_send[k].take() {
+                    // The deploy never left: there is no reply to wait for.
+                    Some(reason) => reason,
+                    None => match recv_update(&mut links[k], policy.deadline, policy.secure) {
+                        Ok((got_round, got_client, loss, reply)) => {
+                            if got_client != k as u32 {
+                                return Err(FedError::Transport {
+                                    reason: format!(
+                                        "link {k} delivered an update claiming client {got_client}"
+                                    ),
+                                });
+                            }
+                            if got_round == round as u64 {
+                                break Some(ClientUpdate {
+                                    client: k,
+                                    state: reply,
+                                    loss,
+                                });
+                            }
+                            // An earlier round's update surfacing late
+                            // (duplicate or reorder): drain and discard.
+                            events.push(RoundEvent::Stale {
+                                round,
                                 client: k,
-                                state,
-                                loss,
+                                got_round,
                             });
+                            if stale_budget == 0 {
+                                break None;
+                            }
+                            stale_budget -= 1;
+                            continue;
                         }
-                        if got_client != k as u32 {
-                            return Err(FedError::Transport {
-                                reason: format!(
-                                    "link {k} delivered an update claiming client {got_client}"
-                                ),
-                            });
-                        }
-                        // An earlier round's update surfacing late
-                        // (duplicate or reorder): drain and discard.
-                        events.push(RoundEvent::Stale {
-                            round,
-                            client: k,
-                            got_round,
-                        });
-                        if stale_budget == 0 {
-                            break None;
-                        }
-                        stale_budget -= 1;
-                    }
-                    Err(RecvFailure::Fatal(e)) => return Err(e),
-                    Err(RecvFailure::Slot(reason)) => {
-                        events.push(RoundEvent::Retry {
-                            round,
-                            client: k,
-                            attempt,
-                            reason,
-                        });
-                        attempt += 1;
-                        if attempt >= attempts {
-                            break None;
-                        }
-                        retries += 1;
-                        policy.retry.sleep(attempt - 1, k as u64);
-                        if send_message(
-                            &mut links[k],
-                            deploy(round, config.local_steps),
-                            COORDINATOR,
-                            seq,
-                        )
-                        .is_err()
-                        {
-                            send_failed[k] = true;
-                        }
-                        seq += 1;
-                    }
+                        Err(RecvFailure::Fatal(e)) => return Err(e),
+                        Err(RecvFailure::Slot(reason)) => reason,
+                    },
+                };
+                events.push(RoundEvent::Retry {
+                    round,
+                    client: k,
+                    attempt,
+                    reason,
+                });
+                attempt += 1;
+                if attempt >= attempts {
+                    break None;
                 }
+                retries += 1;
+                policy.retry.sleep(attempt - 1, k as u64);
+                failed_send[k] = send_deploy(&mut links[k], seq).err();
+                seq += 1;
             };
             match collected {
                 Some(update) => updates.push(update),
@@ -340,25 +345,52 @@ pub fn run_rounds_resilient<T: Transport>(
                 }),
             }
         }
-        if updates.len() < min_quorum {
+        // Pairwise masks cancel only over the full participant set.
+        let need = match policy.secure {
+            Some(_) => participants.len().max(min_quorum),
+            None => min_quorum,
+        };
+        if updates.len() < need {
             return Err(FedError::QuorumLost {
                 round,
                 got: updates.len(),
-                need: min_quorum,
+                need,
             });
         }
-        // Survivors only: the weighted aggregate normalizes by the
-        // surviving weight sum, which *is* the deterministic reweighting
-        // — same survivors, same weights, same bits.
-        let refs: Vec<(&StateDict, f64)> = updates
-            .iter()
-            .map(|u| (&u.state, clients[u.client].weight() as f64))
-            .collect();
-        global = aggregate(&refs, config.aggregation)?;
+        let loss = mean_loss(&updates);
+        global = match &policy.secure {
+            // Survivors only: the weighted aggregate normalizes by the
+            // surviving weight sum, which *is* the deterministic
+            // reweighting — same survivors, same weights, same bits.
+            None => {
+                let refs: Vec<(&StateDict, f64)> = updates
+                    .iter()
+                    .filter_map(|u| match &u.state {
+                        Reply::Plain(state) => Some((state, clients[u.client].weight() as f64)),
+                        Reply::Masked(_) => None,
+                    })
+                    .collect();
+                aggregate(&refs, config.aggregation)?
+            }
+            Some(cfg) => {
+                let weight_sum: f64 = participants
+                    .iter()
+                    .map(|&k| clients[k].weight() as f64)
+                    .sum();
+                let masked: Vec<MaskedUpdate> = updates
+                    .into_iter()
+                    .filter_map(|u| match u.state {
+                        Reply::Masked(m) => Some(m),
+                        Reply::Plain(_) => None,
+                    })
+                    .collect();
+                aggregate_masked(&masked, &part_ids, weight_sum, cfg)?
+            }
+        };
         completed = round;
         if harness.should_record(round) {
             let reports = harness.eval_global(&global)?;
-            history.push(RoundRecord::new(round, reports, mean_loss(&updates)));
+            history.push(RoundRecord::new(round, reports, loss));
         }
         if let Some(hook) = on_round.as_deref_mut() {
             hook(round, seq, &global)?;
@@ -378,6 +410,13 @@ pub fn run_rounds_resilient<T: Transport>(
     })
 }
 
+/// What a participant sent back: its trained parameters, or in secure
+/// mode a pairwise-masked share of them.
+enum Reply {
+    Plain(StateDict),
+    Masked(MaskedUpdate),
+}
+
 /// Why one receive attempt did not produce a usable update.
 enum RecvFailure {
     /// Worth retrying the slot: timeout, frame damage, short hang-up.
@@ -386,11 +425,13 @@ enum RecvFailure {
     Fatal(FedError),
 }
 
-/// Receives one frame under a deadline and parses it as a plain update.
+/// Receives one frame under a deadline and parses it as the update kind
+/// the mode expects: a plain update, or a masked one under `secure`.
 fn recv_update<T: Transport>(
     link: &mut T,
     deadline: Duration,
-) -> Result<(u64, u32, f32, StateDict), RecvFailure> {
+    secure: Option<SecureConfig>,
+) -> Result<(u64, u32, f32, Reply), RecvFailure> {
     let frame = match link.recv_timeout(deadline) {
         Ok(frame) => frame,
         // Every injected fault surfaces here as a typed error —
@@ -413,16 +454,29 @@ fn recv_update<T: Transport>(
         Ok(m) => m,
         Err(e) => return Err(RecvFailure::Slot(e.to_string())),
     };
-    match message {
-        Message::Update {
-            round,
-            client,
-            loss,
-            state,
-        } => Ok((round, client, loss, state)),
-        other => Err(RecvFailure::Fatal(FedError::Transport {
+    match (message, secure) {
+        (
+            Message::Update {
+                round,
+                client,
+                loss,
+                state,
+            },
+            None,
+        ) => Ok((round, client, loss, Reply::Plain(state))),
+        (
+            Message::SecureUpdate {
+                round,
+                client,
+                loss,
+                masked,
+            },
+            Some(_),
+        ) => Ok((round, client, loss, Reply::Masked(masked))),
+        (other, _) => Err(RecvFailure::Fatal(FedError::Transport {
             reason: format!(
-                "resilient rounds are plain-only, got message kind {}",
+                "expected a {} update, got message kind {}",
+                if secure.is_some() { "secure" } else { "plain" },
                 other.kind()
             ),
         })),
@@ -432,9 +486,34 @@ fn recv_update<T: Transport>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::federation::{local_links, run_rounds_over};
+    use crate::federation::local_links;
+    use crate::methods::run_method;
     use crate::methods::test_support::{clients, factory};
-    use rte_net::{ChaosConfig, ChaosTransport};
+    use rte_net::{ChaosConfig, ChaosTransport, Frame};
+
+    /// A link whose first `fail_sends` sends fail without delivering.
+    struct FlakySend<T> {
+        inner: T,
+        fail_sends: u32,
+    }
+
+    impl<T: Transport> Transport for FlakySend<T> {
+        fn send(&mut self, frame: &Frame) -> Result<(), NetError> {
+            if self.fail_sends > 0 {
+                self.fail_sends -= 1;
+                return Err(NetError::Closed);
+            }
+            self.inner.send(frame)
+        }
+
+        fn recv(&mut self) -> Result<Frame, NetError> {
+            self.inner.recv()
+        }
+
+        fn recv_timeout(&mut self, timeout: Duration) -> Result<Frame, NetError> {
+            self.inner.recv_timeout(timeout)
+        }
+    }
 
     fn chaos_links<'a>(
         clients: &'a [Client],
@@ -456,16 +535,7 @@ mod tests {
         let factory = factory();
         let mut config = FedConfig::tiny();
         config.eval_every = 1;
-        let mut links = local_links(&clients, &factory, &config, None).unwrap();
-        let reference = run_rounds_over(
-            Method::FedProx,
-            &clients,
-            &factory,
-            &config,
-            &mut links,
-            None,
-        )
-        .unwrap();
+        let reference = run_method(Method::FedProx, &clients, &factory, &config).unwrap();
         let mut links = local_links(&clients, &factory, &config, None).unwrap();
         let policy = FaultPolicy {
             retry: RetryPolicy::immediate(2),
@@ -479,6 +549,64 @@ mod tests {
         assert!(resilient.events.is_empty());
         assert_eq!(resilient.retries, 0);
         assert_eq!(resilient.completed_rounds, config.rounds);
+    }
+
+    #[test]
+    fn failed_deploy_send_backs_off_and_redeploys() {
+        let clients = clients(3);
+        let factory = factory();
+        let config = FedConfig::tiny();
+        let reference = run_method(Method::FedProx, &clients, &factory, &config).unwrap();
+        let mut links: Vec<FlakySend<crate::LocalLink<'_>>> =
+            local_links(&clients, &factory, &config, None)
+                .unwrap()
+                .into_iter()
+                .enumerate()
+                .map(|(k, inner)| FlakySend {
+                    inner,
+                    fail_sends: u32::from(k == 1),
+                })
+                .collect();
+        let policy = FaultPolicy {
+            retry: RetryPolicy::immediate(2),
+            min_quorum: 3,
+            ..FaultPolicy::default()
+        };
+        // The failed send is attempt 0; attempt 1 re-deploys and lands,
+        // so the slot is collected instead of missed.
+        let run =
+            run_rounds_resilient(&clients, &factory, &config, &mut links, &policy, None, None)
+                .unwrap();
+        assert_eq!(run.outcome, reference);
+        assert_eq!(run.retries, 1);
+        assert_eq!(
+            run.events,
+            vec![RoundEvent::Retry {
+                round: 1,
+                client: 1,
+                attempt: 0,
+                reason: net_err(NetError::Closed).to_string(),
+            }]
+        );
+    }
+
+    #[test]
+    fn reply_of_the_other_kind_is_fatal() {
+        let clients = clients(2);
+        let factory = factory();
+        let config = FedConfig::tiny();
+        let mut links = local_links(&clients, &factory, &config, None).unwrap();
+        let policy = FaultPolicy {
+            secure: Some(SecureConfig::default()),
+            ..FaultPolicy::default()
+        };
+        let err =
+            run_rounds_resilient(&clients, &factory, &config, &mut links, &policy, None, None)
+                .unwrap_err();
+        assert!(
+            matches!(&err, FedError::Transport { reason } if reason.contains("secure")),
+            "{err}"
+        );
     }
 
     #[test]

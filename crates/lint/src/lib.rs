@@ -21,8 +21,8 @@
 //! | L1 | rule 5 (SIMD/mmap soundness) | `unsafe` only in `crates/tensor/src/simd.rs` and `crates/eda/src/mmap.rs`, and every site immediately preceded by a `// SAFETY:` comment |
 //! | L2 | rule 2 (fixed-order reduction) | no iteration over `HashMap`/`HashSet` in non-test code (keyed lookup is fine; iteration order is not) |
 //! | L3 | knob discipline | no raw `std::env::var` outside the sanctioned knob module (`crates/tensor/src/knobs.rs`) and `crates/bench` |
-//! | L4 | bit-neutral outputs | no `Instant::now`/`SystemTime` in library crates (`crates/bench`, vendored crates, and the sanctioned rule-8 opt-out `crates/net/src/clock.rs` exempt) |
-//! | L5 | rule 2 (one schedule) | no thread creation outside `rte_tensor::parallel` (plus the sanctioned wall-clock fan-in in `crates/net/src/transport.rs`) |
+//! | L4 | bit-neutral outputs | no `Instant::now`/`SystemTime` in library crates (`crates/bench` and vendored crates exempt) |
+//! | L5 | rule 2 (one schedule) | no thread creation outside `rte_tensor::parallel` |
 //! | L6 | rule 5 (no contraction) | no `mul_add`/FMA intrinsics outside a `// DETERMINISM-OPT-OUT:` region |
 //! | L7 | coverage tripwire | every `pub fn *_with(backend: SimdBackend, …)` kernel variant must be exercised by `tests/simd_determinism.rs` |
 //!
@@ -581,12 +581,6 @@ const UNSAFE_ALLOWLIST: [&str; 2] = ["crates/tensor/src/simd.rs", "crates/eda/sr
 const KNOB_MODULE: &str = "crates/tensor/src/knobs.rs";
 /// The thread-pool module allowed to create threads.
 const PARALLEL_MODULE: &str = "crates/tensor/src/parallel.rs";
-/// L4's sanctioned wall-clock module: `rte_net::clock::WallClock`, the
-/// documented opt-out from determinism rule 8 (wall-clock async).
-const WALL_CLOCK_MODULE: &str = "crates/net/src/clock.rs";
-/// L5's sanctioned fan-in module: `rte_net::transport::FanIn` spawns one
-/// reader thread per link, used only by the wall-clock async opt-out.
-const FAN_IN_MODULE: &str = "crates/net/src/transport.rs";
 
 struct FileContext<'a> {
     rel: &'a str,
@@ -827,7 +821,7 @@ fn check_l3(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
 const ENTROPY_PATTERNS: [&str; 4] = ["RandomState", "from_entropy", "thread_rng", "getrandom"];
 
 fn check_l4(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
-    if ctx.bench_crate || ctx.rel == WALL_CLOCK_MODULE {
+    if ctx.bench_crate {
         return;
     }
     for (idx, line) in ctx.lines.iter().enumerate() {
@@ -861,7 +855,7 @@ fn check_l4(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
 const SPAWN_PATTERNS: [&str; 3] = ["thread::spawn", "thread::scope", "thread::Builder"];
 
 fn check_l5(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
-    if ctx.rel == PARALLEL_MODULE || ctx.rel == FAN_IN_MODULE {
+    if ctx.rel == PARALLEL_MODULE {
         return;
     }
     for (idx, line) in ctx.lines.iter().enumerate() {

@@ -6,10 +6,6 @@
 //! arrival *order* (the only thing aggregation depends on) is a pure
 //! function of the seed. CI pins async outcomes byte-for-byte because
 //! nothing on this path reads the machine clock.
-//!
-//! [`WallClock`] is the documented opt-out: real elapsed time, real
-//! nondeterminism. It is the sanctioned exception to lint rule L4 in
-//! this crate and nothing deterministic may depend on it.
 
 use std::collections::BTreeMap;
 
@@ -139,37 +135,6 @@ impl VirtualClock {
     }
 }
 
-/// Real elapsed time in milliseconds — **the documented opt-out** from
-/// rule 8. Only the wall-clock async mode reads this; everything else
-/// in the workspace is forbidden from it by lint rule L4 (this file is
-/// the sanctioned exception).
-pub struct WallClock {
-    start: std::time::Instant,
-}
-
-impl Default for WallClock {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl WallClock {
-    /// Starts the clock now.
-    pub fn new() -> Self {
-        WallClock {
-            // rte-lint: allow(L4) sanctioned wall-clock site: the
-            // non-deterministic async opt-out measures real latency here.
-            start: std::time::Instant::now(),
-        }
-    }
-
-    /// Milliseconds elapsed since the clock was created.
-    pub fn elapsed_ms(&self) -> u64 {
-        // rte-lint: allow(L4) sanctioned wall-clock site (see `new`).
-        self.start.elapsed().as_millis() as u64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,15 +180,5 @@ mod tests {
         clock.advance_to(10);
         clock.advance_to(3);
         assert_eq!(clock.now(), 10);
-    }
-
-    #[test]
-    fn wall_clock_advances() {
-        let clock = WallClock::new();
-        // Cannot assert real elapsed time deterministically; only that
-        // the reading is well-formed (non-panicking, monotone-ish).
-        let a = clock.elapsed_ms();
-        let b = clock.elapsed_ms();
-        assert!(b >= a);
     }
 }

@@ -7,11 +7,9 @@
 //!   the same hostile-bytes hardening discipline as `rte_eda::shard`
 //!   (magic, header CRC, documented caps, typed errors, no panics),
 //! - [`transport`] — the [`Transport`] trait with an in-process channel
-//!   backend and a Unix-domain-socket backend, plus the wall-clock
-//!   [`FanIn`] used only by the non-deterministic async opt-out,
+//!   backend and a Unix-domain-socket backend,
 //! - [`clock`] — the seeded [`VirtualClock`] / [`EventQueue`] machinery
-//!   behind determinism contract rule 8, and the sanctioned
-//!   [`WallClock`] opt-out,
+//!   behind determinism contract rule 8,
 //! - [`chaos`] — the seeded fault-injection decorator behind
 //!   determinism contract rule 9: [`ChaosTransport`] drops, duplicates,
 //!   reorders, corrupts, and delays frames from per-`(direction, seq)`
@@ -38,10 +36,10 @@ pub mod retry;
 pub mod transport;
 
 pub use chaos::{ChaosConfig, ChaosStats, ChaosTransport};
-pub use clock::{EventQueue, SplitMix64, VirtualClock, WallClock};
+pub use clock::{EventQueue, SplitMix64, VirtualClock};
 pub use error::NetError;
 pub use frame::{crc32, Frame, FRAME_MAGIC, FRAME_VERSION, MAX_FRAME_LEN, PRELUDE_LEN};
 pub use retry::RetryPolicy;
-pub use transport::{ChannelTransport, FanIn, Transport};
+pub use transport::{ChannelTransport, Transport};
 #[cfg(unix)]
 pub use transport::{UdsListener, UdsTransport};

@@ -10,16 +10,12 @@
 //!   process-boundary backend the `rte-coordinator`/`rte-client`
 //!   binaries speak.
 //!
-//! [`FanIn`] merges several transports into one wall-clock arrival-order
-//! stream. It exists *only* for the documented non-deterministic
-//! wall-clock async mode (determinism contract rule 8's opt-out): it
-//! spawns one reader thread per link, which is a sanctioned exception to
-//! lint rule L5 — deterministic code never touches it.
+//! Neither backend spawns a thread: the coordinator reads its links one
+//! at a time in a fixed order, so arrival order never reaches an
+//! aggregate.
 
 use std::io::{BufReader, BufWriter, Write};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::sync::Arc;
 use std::time::Duration;
 
 use crate::error::NetError;
@@ -178,19 +174,6 @@ impl UdsTransport {
     pub fn connect(path: impl AsRef<std::path::Path>) -> Result<Self, NetError> {
         Self::from_stream(std::os::unix::net::UnixStream::connect(path)?)
     }
-
-    /// Clones the underlying socket into a second transport handle, for
-    /// the wall-clock split: the original goes into a [`FanIn`] (read
-    /// side) while the clone stays with the coordinator for sends.
-    /// Receiving on both handles concurrently would split the byte
-    /// stream between two buffers — treat the clone as write-only.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::Io`] when the descriptor cannot be cloned.
-    pub fn duplicate(&self) -> Result<Self, NetError> {
-        Self::from_stream(self.writer.get_ref().try_clone()?)
-    }
 }
 
 #[cfg(unix)]
@@ -304,100 +287,6 @@ impl UdsListener {
     }
 }
 
-/// Wall-clock arrival-order fan-in over several transports.
-///
-/// **This is the non-deterministic opt-out.** Each link gets a reader
-/// thread; frames surface in true arrival order, so two runs of the
-/// same experiment can aggregate in different orders. Deterministic mode
-/// (the default everywhere) never constructs one of these — the seeded
-/// virtual clock replays a fixed order instead.
-pub struct FanIn {
-    rx: Receiver<(usize, Result<Frame, NetError>)>,
-    links: usize,
-    stop: Arc<AtomicBool>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl FanIn {
-    /// How often reader threads surface from their link to check the
-    /// stop flag. Pure wall-clock machinery (this whole type is the
-    /// rule-8 opt-out), so the cadence carries no determinism weight.
-    const POLL: Duration = Duration::from_millis(20);
-
-    /// Consumes `links` and starts one reader thread per link. Threads
-    /// exit when their link closes or errors terminally (the terminal
-    /// result is forwarded first), or when the fan-in is dropped —
-    /// readers poll with [`Transport::recv_timeout`] so a stop request
-    /// is honoured even while a link is silent, and `Drop` joins every
-    /// thread: no leaked readers outlive the fan-in.
-    pub fn new<T: Transport + Send + 'static>(links: Vec<T>) -> Self {
-        let (tx, rx) = channel();
-        let n = links.len();
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut handles = Vec::with_capacity(n);
-        for (index, mut link) in links.into_iter().enumerate() {
-            let tx = tx.clone();
-            let stop = Arc::clone(&stop);
-            // rte-lint: allow(L5) sanctioned wall-clock fan-in: one reader
-            // thread per link, used only by the documented non-deterministic
-            // async opt-out, never by deterministic mode.
-            handles.push(std::thread::spawn(move || loop {
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
-                let item = match link.recv_timeout(Self::POLL) {
-                    Err(NetError::Timeout) => continue,
-                    item => item,
-                };
-                let terminal = item.is_err();
-                if tx.send((index, item)).is_err() || terminal {
-                    break;
-                }
-            }));
-        }
-        FanIn {
-            rx,
-            links: n,
-            stop,
-            handles,
-        }
-    }
-
-    /// Number of links this fan-in was built over.
-    pub fn links(&self) -> usize {
-        self.links
-    }
-
-    /// The next `(link index, frame)` in wall-clock arrival order.
-    ///
-    /// # Errors
-    ///
-    /// Returns the failing link's error (with its index) or
-    /// [`NetError::Closed`] when every link has finished.
-    pub fn recv_any(&mut self) -> Result<(usize, Frame), NetError> {
-        match self.rx.recv() {
-            Ok((index, Ok(frame))) => Ok((index, frame)),
-            Ok((_, Err(e))) => Err(e),
-            Err(_) => Err(NetError::Closed),
-        }
-    }
-
-    /// Signals every reader thread to stop and joins them. Called by
-    /// `Drop`; exposed so tests can assert the threads are really gone.
-    pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for FanIn {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -450,26 +339,6 @@ mod tests {
         let reply = client.join().unwrap();
         assert_eq!(reply.payload, b"welcome");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn fan_in_surfaces_every_frame() {
-        let (mut near_a, far_a) = ChannelTransport::pair();
-        let (mut near_b, far_b) = ChannelTransport::pair();
-        near_a.send(&Frame::new(1, 1, 0, b"a".to_vec())).unwrap();
-        near_b.send(&Frame::new(1, 2, 0, b"b".to_vec())).unwrap();
-        let mut fan = FanIn::new(vec![far_a, far_b]);
-        assert_eq!(fan.links(), 2);
-        let mut seen = Vec::new();
-        for _ in 0..2 {
-            let (_, frame) = fan.recv_any().unwrap();
-            seen.push(frame.sender);
-        }
-        seen.sort_unstable();
-        assert_eq!(seen, vec![1, 2]);
-        drop(near_a);
-        drop(near_b);
-        assert!(fan.recv_any().is_err());
     }
 
     #[test]
@@ -538,23 +407,5 @@ mod tests {
         assert!(accepted.is_ok());
         drop(joiner.join().unwrap());
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn fan_in_joins_its_readers_on_drop() {
-        // Peers stay open and silent: without the stop flag + timeout
-        // polling, the reader threads would block forever in `recv` and
-        // leak past the fan-in's lifetime.
-        let (near_a, far_a) = ChannelTransport::pair();
-        let (near_b, far_b) = ChannelTransport::pair();
-        let mut fan = FanIn::new(vec![far_a, far_b]);
-        assert_eq!(fan.handles.len(), 2);
-        fan.shutdown();
-        assert!(fan.handles.is_empty(), "shutdown joins every reader");
-        // Dropping after an explicit shutdown is a no-op, and the silent
-        // peers were never required to close first.
-        drop(fan);
-        drop(near_a);
-        drop(near_b);
     }
 }

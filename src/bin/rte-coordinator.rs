@@ -7,12 +7,12 @@
 //! In the default sync mode the printed table is byte-identical to the
 //! in-process `rte-bench` FedProx row for the same config
 //! (`tests/transport_determinism.rs` pins this). `--async virtual` runs
-//! the seeded virtual-clock buffered schedule (determinism rule 8);
-//! `--async wall` is the documented non-deterministic opt-out.
+//! the seeded virtual-clock buffered schedule (determinism rule 8).
 //!
-//! Synchronous non-secure rounds run through the fault-tolerant loop
-//! ([`run_rounds_resilient`]) — faultless, it is bit-identical to the
-//! plain loop. On top of it this binary exposes:
+//! Synchronous rounds, plain or `--secure`, run through the one
+//! fault-tolerant loop ([`run_rounds_resilient`]) — faultless, it is
+//! bit-identical to the in-process path. On top of it this binary
+//! exposes:
 //!
 //! - `--chaos-*` — seeded fault injection (determinism rule 9): every
 //!   coordinator-side link is wrapped in a [`ChaosTransport`] whose
@@ -28,6 +28,9 @@
 //!   with code 17 right after round N's checkpoint — the kill half of
 //!   the kill-and-resume test.
 //!
+//! All of these compose with `--secure`: a retried slot re-masks
+//! deterministically, and a secure round needs every participant back.
+//!
 //! ```text
 //! rte-coordinator --clients 8 --clients-procs 8 --quick --seed 42
 //! rte-coordinator --transport channel --quick --async virtual
@@ -35,6 +38,8 @@
 //!     --chaos-seed 7 --chaos-drop 0.2 --retries 4 --min-quorum 2
 //! rte-coordinator --transport channel --quick --rounds 4 \
 //!     --checkpoint-dir /tmp/ckpt --die-after 2   # then: --resume
+//! rte-coordinator --transport channel --quick --rounds 4 --secure \
+//!     --chaos-seed 7 --chaos-drop 0.2 --retries 6
 //! ```
 
 use std::path::PathBuf;
@@ -49,12 +54,12 @@ use decentralized_routability::core::{
 };
 use decentralized_routability::fed::{
     config_digest, latest_checkpoint, local_links, read_checkpoint, render_async_history,
-    run_fedasync, run_fedasync_wall, run_rounds_over, run_rounds_resilient, write_checkpoint,
-    AsyncConfig, Checkpoint, Client, ClientSession, FaultPolicy, LinkExecutor, Method,
-    MethodOutcome, ModelFactory, ResumePoint, RoundHook, SecureConfig,
+    run_fedasync, run_rounds_resilient, write_checkpoint, AsyncConfig, Checkpoint, Client,
+    ClientSession, FaultPolicy, LinkExecutor, MethodOutcome, ModelFactory, ResumePoint, RoundHook,
+    SecureConfig,
 };
 use decentralized_routability::net::{
-    ChaosConfig, ChaosTransport, FanIn, RetryPolicy, Transport, UdsListener, UdsTransport,
+    ChaosConfig, ChaosTransport, RetryPolicy, Transport, UdsListener, UdsTransport,
 };
 use decentralized_routability::nn::models::ModelKind;
 use decentralized_routability::nn::StateDict;
@@ -84,9 +89,6 @@ enum AsyncMode {
     Off,
     /// Buffered async on the seeded virtual clock (deterministic).
     Virtual,
-    /// Buffered async on real arrival order (the documented opt-out;
-    /// not reproducible).
-    Wall,
 }
 
 struct Args {
@@ -175,10 +177,7 @@ fn parse_args() -> Result<Args, String> {
                 out.r#async = match it.next().as_deref() {
                     Some("off") => AsyncMode::Off,
                     Some("virtual") => AsyncMode::Virtual,
-                    Some("wall") => AsyncMode::Wall,
-                    other => {
-                        return Err(format!("--async must be off|virtual|wall, got {other:?}"))
-                    }
+                    other => return Err(format!("--async must be off|virtual, got {other:?}")),
                 };
             }
             "--secure" => out.secure = true,
@@ -237,18 +236,15 @@ fn parse_args() -> Result<Args, String> {
     if out.secure && out.r#async != AsyncMode::Off {
         return Err("--secure only applies to synchronous rounds".into());
     }
-    if out.r#async == AsyncMode::Wall && out.transport != TransportKind::Uds {
-        return Err("--async wall needs --transport uds (real arrival order)".into());
-    }
     if out.clients_procs > 0 && out.transport != TransportKind::Uds {
         return Err("--clients-procs only applies to --transport uds".into());
     }
-    let resilient_only = out.r#async == AsyncMode::Off && !out.secure;
-    if !out.chaos.is_noop() && !resilient_only {
-        return Err("--chaos-* needs synchronous non-secure rounds (the resilient loop)".into());
+    let sync = out.r#async == AsyncMode::Off;
+    if !out.chaos.is_noop() && !sync {
+        return Err("--chaos-* needs synchronous rounds".into());
     }
-    if (out.checkpoint_dir.is_some() || out.resume || out.die_after.is_some()) && !resilient_only {
-        return Err("checkpointing needs synchronous non-secure rounds".into());
+    if (out.checkpoint_dir.is_some() || out.resume || out.die_after.is_some()) && !sync {
+        return Err("checkpointing needs synchronous rounds".into());
     }
     if out.checkpoint_dir.is_none() && (out.resume || out.die_after.is_some()) {
         return Err("--resume / --die-after need --checkpoint-dir".into());
@@ -382,6 +378,32 @@ fn accept_fleet(
         .collect())
 }
 
+/// Runs the selected schedule over `links`: synchronous rounds through
+/// the resilient loop, or the buffered schedule on the virtual clock
+/// (whose history is printed ahead of the table).
+fn run_schedule<T: Transport>(
+    mut links: Vec<T>,
+    fleet: &[Client],
+    factory: &ModelFactory,
+    config: &ExperimentConfig,
+    args: &Args,
+) -> Result<MethodOutcome, Box<dyn std::error::Error>> {
+    match args.r#async {
+        AsyncMode::Off => run_resilient(links, fleet, factory, config, args),
+        AsyncMode::Virtual => {
+            let async_cfg = AsyncConfig::new(args.aggregations, args.buffer);
+            let mut exec = LinkExecutor::new(&mut links);
+            let (outcome, records) =
+                run_fedasync(fleet, factory, &config.fed, &async_cfg, &mut exec)?;
+            println!(
+                "{}",
+                render_async_history("Async schedule (virtual clock)", &records)
+            );
+            Ok(outcome)
+        }
+    }
+}
+
 /// Runs the resilient loop over `links`, wrapping each in a seeded
 /// [`ChaosTransport`] (lane = fleet index) when the palette is armed.
 fn run_resilient<T: Transport>(
@@ -437,8 +459,11 @@ fn drive_resilient<T: Transport>(
             jitter_seed: args.seed,
         },
         min_quorum: args.min_quorum,
+        secure: args.secure.then(SecureConfig::default),
     };
-    let digest = config_digest(&config.fed, fleet);
+    // Plain and secure rounds aggregate differently, so a checkpoint
+    // from one mode must not resume the other.
+    let digest = config_digest(&config.fed, fleet) ^ u64::from(args.secure);
 
     let resume = match &args.checkpoint_dir {
         Some(dir) if args.resume => match latest_checkpoint(dir)? {
@@ -516,7 +541,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         eprintln!(
             "usage: rte-coordinator [--socket PATH] [--clients N] [--clients-procs N] \
              [--quick] [--seed N] [--rounds N] [--transport uds|channel] \
-             [--async off|virtual|wall] [--secure] [--aggregations N] [--buffer N] \
+             [--async off|virtual] [--secure] [--aggregations N] [--buffer N] \
              [--chaos-seed N] [--chaos-drop P] [--chaos-dup P] [--chaos-reorder P] \
              [--chaos-corrupt P] [--chaos-window N] [--chaos-latency-min N] \
              [--chaos-latency-max N] [--deadline-ms N] [--retries N] [--backoff-ms N] \
@@ -547,35 +572,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut children = Vec::new();
     let outcome = match args.transport {
         TransportKind::Channel => {
-            let mut links = local_links(&fleet, &factory, &config.fed, secure)?;
-            match args.r#async {
-                AsyncMode::Off => {
-                    if args.secure {
-                        run_rounds_over(
-                            Method::FedProx,
-                            &fleet,
-                            &factory,
-                            &config.fed,
-                            &mut links,
-                            secure,
-                        )?
-                    } else {
-                        run_resilient(links, &fleet, &factory, &config, &args)?
-                    }
-                }
-                AsyncMode::Virtual => {
-                    let async_cfg = AsyncConfig::new(args.aggregations, args.buffer);
-                    let mut exec = LinkExecutor::new(&mut links);
-                    let (outcome, records) =
-                        run_fedasync(&fleet, &factory, &config.fed, &async_cfg, &mut exec)?;
-                    println!(
-                        "{}",
-                        render_async_history("Async schedule (virtual clock)", &records)
-                    );
-                    outcome
-                }
-                AsyncMode::Wall => unreachable!("rejected at parse time"),
-            }
+            let links = local_links(&fleet, &factory, &config.fed, secure)?;
+            run_schedule(links, &fleet, &factory, &config, &args)?
         }
         TransportKind::Uds => {
             let listener = UdsListener::bind(&args.socket)?;
@@ -583,58 +581,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 children = spawn_clients(&args, args.clients_procs)?;
             }
             serve_thread_clients(&args, &fleet, &factory, &config, secure);
-            let mut links = accept_fleet(&listener, fleet.len())?;
-            let outcome = match args.r#async {
-                AsyncMode::Off => {
-                    if args.secure {
-                        run_rounds_over(
-                            Method::FedProx,
-                            &fleet,
-                            &factory,
-                            &config.fed,
-                            &mut links,
-                            secure,
-                        )?
-                    } else {
-                        run_resilient(links, &fleet, &factory, &config, &args)?
-                    }
-                }
-                AsyncMode::Virtual => {
-                    let async_cfg = AsyncConfig::new(args.aggregations, args.buffer);
-                    let mut exec = LinkExecutor::new(&mut links);
-                    let (outcome, records) =
-                        run_fedasync(&fleet, &factory, &config.fed, &async_cfg, &mut exec)?;
-                    println!(
-                        "{}",
-                        render_async_history("Async schedule (virtual clock)", &records)
-                    );
-                    outcome
-                }
-                AsyncMode::Wall => {
-                    let async_cfg = AsyncConfig::new(args.aggregations, args.buffer);
-                    let mut send_links = links
-                        .iter()
-                        .map(UdsTransport::duplicate)
-                        .collect::<Result<Vec<_>, _>>()?;
-                    let mut fan = FanIn::new(links);
-                    let (outcome, records) = run_fedasync_wall(
-                        &fleet,
-                        &factory,
-                        &config.fed,
-                        &async_cfg,
-                        &mut send_links,
-                        &mut fan,
-                    )?;
-                    println!(
-                        "{}",
-                        render_async_history(
-                            "Async schedule (wall clock — NOT reproducible)",
-                            &records
-                        )
-                    );
-                    outcome
-                }
-            };
+            let links = accept_fleet(&listener, fleet.len())?;
+            let outcome = run_schedule(links, &fleet, &factory, &config, &args)?;
             let _ = std::fs::remove_file(&args.socket);
             outcome
         }

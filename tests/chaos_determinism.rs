@@ -5,13 +5,15 @@
 //! `RTE_SIMD` cell. Plus the satellite regressions: injected corruption
 //! is always caught by the frame CRCs as *typed* errors, and a client
 //! that goes silent mid-run can delay a round by at most its deadline ×
-//! retry budget — never wedge the coordinator.
+//! retry budget — never wedge the coordinator. Secure aggregation runs
+//! through the same loop: its faulty runs replay too, recover to the
+//! faultless bits, and a lost participant is a typed quorum loss.
 
 use std::sync::Mutex;
 
 use decentralized_routability::fed::{
     local_links, run_rounds_resilient, Client, ClientSession, ClientSet, FaultPolicy, FedConfig,
-    ModelFactory, Parallelism, ResilientOutcome, RoundEvent,
+    FedError, ModelFactory, Parallelism, ResilientOutcome, RoundEvent, SecureConfig,
 };
 use decentralized_routability::net::{
     ChaosConfig, ChaosTransport, RetryPolicy, Transport, UdsListener, UdsTransport,
@@ -91,10 +93,12 @@ fn palette(seed: u64) -> ChaosConfig {
     }
 }
 
+/// Runs the round loop with every link behind `chaos`; the client
+/// sessions follow the policy's secure setting.
 fn run_chaos(config: &FedConfig, chaos: &ChaosConfig, policy: &FaultPolicy) -> ResilientOutcome {
     let fleet = clients(3);
     let factory = factory();
-    let mut links: Vec<ChaosTransport<_>> = local_links(&fleet, &factory, config, None)
+    let mut links: Vec<ChaosTransport<_>> = local_links(&fleet, &factory, config, policy.secure)
         .unwrap()
         .into_iter()
         .enumerate()
@@ -308,6 +312,7 @@ fn silent_client_over_uds_cannot_wedge_the_coordinator() {
         deadline: std::time::Duration::from_millis(100),
         retry: RetryPolicy::immediate(2),
         min_quorum: 2,
+        secure: None,
     };
     let run =
         run_rounds_resilient(&fleet, &factory, &config, &mut links, &policy, None, None).unwrap();
@@ -327,5 +332,90 @@ fn silent_client_over_uds_cannot_wedge_the_coordinator() {
         server.join().unwrap();
     }
     let _ = std::fs::remove_file(&path);
+    simd::set_global(before);
+}
+
+/// Secure aggregation under chaos: a retried slot re-masks
+/// deterministically, so the faulty run replays bitwise across thread
+/// counts and, with every slot recovered, lands on exactly the faultless
+/// secure outcome.
+#[test]
+fn secure_chaos_replays_and_recovers_to_the_faultless_outcome() {
+    let _guard = GLOBAL_ARM.lock().unwrap();
+    let before = simd::global();
+    simd::set_global(SimdBackend::Scalar);
+    let policy = FaultPolicy {
+        retry: RetryPolicy::immediate(8),
+        min_quorum: 1,
+        secure: Some(SecureConfig::default()),
+        ..FaultPolicy::default()
+    };
+    let faultless = run_chaos(&config(1), &ChaosConfig::default(), &policy);
+    assert!(faultless.events.is_empty());
+
+    let a = run_chaos(&config(1), &palette(0xC0FFEE), &policy);
+    let b = run_chaos(&config(4), &palette(0xC0FFEE), &policy);
+    assert_eq!(a, b, "secure chaos run drifted across thread counts");
+    assert!(a.retries > 0, "the palette never fired — raise the rates");
+    assert!(
+        !a.events
+            .iter()
+            .any(|e| matches!(e, RoundEvent::Missed { .. })),
+        "every slot must recover: {:?}",
+        a.events
+    );
+    assert_eq!(
+        a.outcome, faultless.outcome,
+        "recovered secure run must equal the faultless one"
+    );
+    simd::set_global(before);
+}
+
+/// Pairwise masks cancel only over the full participant set, so a
+/// secure round that loses a participant aborts with a typed quorum
+/// loss naming the whole set — even when `min_quorum` would allow it.
+#[test]
+fn secure_round_with_a_lethal_link_is_quorum_lost() {
+    let _guard = GLOBAL_ARM.lock().unwrap();
+    let before = simd::global();
+    simd::set_global(SimdBackend::Scalar);
+    let secure = Some(SecureConfig::default());
+    let policy = FaultPolicy {
+        retry: RetryPolicy::immediate(2),
+        min_quorum: 1,
+        secure,
+        ..FaultPolicy::default()
+    };
+    let fleet = clients(3);
+    let factory = factory();
+    let config = config(1);
+    let lethal = ChaosConfig {
+        seed: 5,
+        drop_p: 1.0,
+        ..ChaosConfig::default()
+    };
+    let mut links: Vec<ChaosTransport<_>> = local_links(&fleet, &factory, &config, secure)
+        .unwrap()
+        .into_iter()
+        .enumerate()
+        .map(|(lane, link)| {
+            let cfg = if lane == 1 {
+                lethal.clone()
+            } else {
+                ChaosConfig::default()
+            };
+            ChaosTransport::new(link, cfg, lane as u64).unwrap()
+        })
+        .collect();
+    let err = run_rounds_resilient(&fleet, &factory, &config, &mut links, &policy, None, None)
+        .unwrap_err();
+    assert_eq!(
+        err,
+        FedError::QuorumLost {
+            round: 1,
+            got: 2,
+            need: 3
+        }
+    );
     simd::set_global(before);
 }

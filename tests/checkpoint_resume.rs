@@ -1,14 +1,16 @@
 //! Checkpoint/resume guards: a coordinator killed mid-run and restarted
 //! from its newest on-disk checkpoint must finish with **byte-identical**
 //! output to the uninterrupted run — across thread counts and SIMD arms
-//! (the checkpoint digest deliberately excludes parallelism), and
-//! through the real binary (`--die-after` / `--resume`).
+//! (the checkpoint digest deliberately excludes parallelism), under
+//! plain and secure aggregation alike, and through the real binary
+//! (`--die-after` / `--resume`).
 
 use std::sync::Mutex;
 
 use decentralized_routability::fed::{
     config_digest, latest_checkpoint, local_links, read_checkpoint, run_rounds_resilient,
     write_checkpoint, Checkpoint, FaultPolicy, FedConfig, ModelFactory, Parallelism, ResumePoint,
+    SecureConfig,
 };
 use decentralized_routability::fed::{Client, ClientSet};
 use decentralized_routability::net::RetryPolicy;
@@ -73,10 +75,11 @@ fn config(threads: usize) -> FedConfig {
     config
 }
 
-fn policy() -> FaultPolicy {
+fn policy(secure: Option<SecureConfig>) -> FaultPolicy {
     FaultPolicy {
         retry: RetryPolicy::immediate(2),
         min_quorum: 3,
+        secure,
         ..FaultPolicy::default()
     }
 }
@@ -88,10 +91,20 @@ fn run_checkpointed(
     dir: &std::path::Path,
     die_after: Option<usize>,
 ) -> Option<decentralized_routability::fed::ResilientOutcome> {
+    run_checkpointed_with(config, None, dir, die_after)
+}
+
+/// [`run_checkpointed`] under an explicit secure setting.
+fn run_checkpointed_with(
+    config: &FedConfig,
+    secure: Option<SecureConfig>,
+    dir: &std::path::Path,
+    die_after: Option<usize>,
+) -> Option<decentralized_routability::fed::ResilientOutcome> {
     let fleet = clients(3);
     let factory = factory();
     let digest = config_digest(config, &fleet);
-    let mut links = local_links(&fleet, &factory, config, None).unwrap();
+    let mut links = local_links(&fleet, &factory, config, secure).unwrap();
     let mut hook = |round: usize, seq: u64, state: &StateDict| {
         write_checkpoint(
             dir,
@@ -115,7 +128,7 @@ fn run_checkpointed(
         &factory,
         config,
         &mut links,
-        &policy(),
+        &policy(secure),
         None,
         Some(&mut hook),
     )
@@ -127,6 +140,15 @@ fn resume_from_disk(
     config: &FedConfig,
     dir: &std::path::Path,
 ) -> decentralized_routability::fed::ResilientOutcome {
+    resume_from_disk_with(config, None, dir)
+}
+
+/// [`resume_from_disk`] under an explicit secure setting.
+fn resume_from_disk_with(
+    config: &FedConfig,
+    secure: Option<SecureConfig>,
+    dir: &std::path::Path,
+) -> decentralized_routability::fed::ResilientOutcome {
     let fleet = clients(3);
     let factory = factory();
     let digest = config_digest(config, &fleet);
@@ -134,13 +156,13 @@ fn resume_from_disk(
         .unwrap()
         .expect("a checkpoint exists");
     let ckpt = read_checkpoint(&path, Some(digest)).unwrap();
-    let mut links = local_links(&fleet, &factory, config, None).unwrap();
+    let mut links = local_links(&fleet, &factory, config, secure).unwrap();
     run_rounds_resilient(
         &fleet,
         &factory,
         config,
         &mut links,
-        &policy(),
+        &policy(secure),
         Some(ResumePoint {
             round: ckpt.round as usize,
             seq: ckpt.seq,
@@ -181,6 +203,40 @@ fn killed_run_resumes_from_disk_bit_identically() {
 
     let resumed = resume_from_disk(&config, &dir);
     assert_eq!(resumed.completed_rounds, config.rounds);
+    for (a, b) in resumed
+        .outcome
+        .per_client
+        .iter()
+        .zip(full.outcome.per_client.iter())
+    {
+        assert_eq!(a.auc.to_bits(), b.auc.to_bits(), "resumed AUC bits drifted");
+    }
+    assert_eq!(
+        resumed.outcome.average_auc.to_bits(),
+        full.outcome.average_auc.to_bits()
+    );
+    simd::set_global(before);
+}
+
+/// The same kill-and-resume under secure aggregation: the masked
+/// aggregate is exact, so a secure run resumed from its round-2
+/// checkpoint finishes on the uninterrupted secure run's bits.
+#[test]
+fn secure_killed_run_resumes_from_disk_bit_identically() {
+    let _guard = GLOBAL_ARM.lock().unwrap();
+    let before = simd::global();
+    simd::set_global(SimdBackend::Scalar);
+
+    let config = config(1);
+    let secure = Some(SecureConfig::default());
+    let full = run_checkpointed_with(&config, secure, &temp_dir("sfull"), None)
+        .expect("uninterrupted secure run");
+    let dir = temp_dir("skilled");
+    assert!(run_checkpointed_with(&config, secure, &dir, Some(2)).is_none());
+
+    let resumed = resume_from_disk_with(&config, secure, &dir);
+    assert_eq!(resumed.completed_rounds, config.rounds);
+    assert_eq!(resumed.outcome.per_client, full.outcome.per_client);
     for (a, b) in resumed
         .outcome
         .per_client
@@ -250,13 +306,9 @@ fn checkpoint_from_another_config_is_rejected() {
     simd::set_global(before);
 }
 
-/// Release-gated end-to-end pin: the `rte-coordinator` binary killed by
-/// `--die-after 2` (exit code 17) and restarted with `--resume` must
-/// print byte-for-byte the table of an uninterrupted run. CI runs this
-/// via `--release -- --include-ignored`.
-#[test]
-#[ignore = "release-only: three full coordinator runs (CI runs with --include-ignored)"]
-fn killed_coordinator_binary_resumes_to_identical_table_bytes() {
+/// Kills the coordinator binary with `--die-after 2`, resumes it from
+/// disk, and requires the uninterrupted run's table bytes.
+fn binary_resumes_to_identical_table_bytes(tag: &str, extra_flags: &[&str]) {
     let base = [
         "--transport",
         "channel",
@@ -268,10 +320,11 @@ fn killed_coordinator_binary_resumes_to_identical_table_bytes() {
         "--rounds",
         "4",
     ];
-    let dir = temp_dir("binary");
+    let dir = temp_dir(tag);
     let run = |extra: &[&str]| {
         std::process::Command::new(env!("CARGO_BIN_EXE_rte-coordinator"))
             .args(base)
+            .args(extra_flags)
             .args(extra)
             .output()
             .unwrap()
@@ -308,4 +361,22 @@ fn killed_coordinator_binary_resumes_to_identical_table_bytes() {
         String::from_utf8_lossy(&resumed.stderr).contains("resume: round 2"),
         "the resumed run must report where it picked up"
     );
+}
+
+/// Release-gated end-to-end pin: the `rte-coordinator` binary killed by
+/// `--die-after 2` (exit code 17) and restarted with `--resume` must
+/// print byte-for-byte the table of an uninterrupted run. CI runs this
+/// via `--release -- --include-ignored`.
+#[test]
+#[ignore = "release-only: three full coordinator runs (CI runs with --include-ignored)"]
+fn killed_coordinator_binary_resumes_to_identical_table_bytes() {
+    binary_resumes_to_identical_table_bytes("binary", &[]);
+}
+
+/// The same binary pin with `--secure`: checkpoints and resume cover
+/// masked rounds too.
+#[test]
+#[ignore = "release-only: three full coordinator runs (CI runs with --include-ignored)"]
+fn killed_secure_coordinator_binary_resumes_to_identical_table_bytes() {
+    binary_resumes_to_identical_table_bytes("binary-secure", &["--secure"]);
 }

@@ -3,8 +3,7 @@
 //! whole arrival trace — stragglers, dropouts, rejoins, buffer fills —
 //! so the staleness-weighted aggregates (and the rendered schedule
 //! table) must be byte-identical across repeated runs, worker-thread
-//! counts, and SIMD arms. Wall-clock async (`--async wall`) is the
-//! documented opt-out and is exactly as unreproducible as it sounds.
+//! counts, and SIMD arms.
 
 use std::sync::Mutex;
 

@@ -18,8 +18,8 @@ use std::sync::Mutex;
 
 use decentralized_routability::fed::methods::run_method;
 use decentralized_routability::fed::{
-    local_links, run_rounds_over, Client, ClientSession, ClientSet, FedConfig, Method,
-    MethodOutcome, ModelFactory, Parallelism, SecureConfig,
+    local_links, run_rounds_resilient, Client, ClientSession, ClientSet, FaultPolicy, FedConfig,
+    Method, MethodOutcome, ModelFactory, Parallelism, SecureConfig,
 };
 use decentralized_routability::net::{UdsListener, UdsTransport};
 use decentralized_routability::nn::models::{FlNet, FlNetConfig};
@@ -86,6 +86,26 @@ fn config(mu: f32, threads: usize) -> FedConfig {
     config
 }
 
+/// Runs the coordinator's round loop over `links`, faultless. Socket
+/// reads wait up to 600 s per update, so a slow debug build still
+/// delivers; a wedged peer still surfaces as a typed timeout.
+fn run_over<T: decentralized_routability::net::Transport>(
+    fleet: &[Client],
+    factory: &ModelFactory,
+    config: &FedConfig,
+    links: &mut [T],
+    secure: Option<SecureConfig>,
+) -> MethodOutcome {
+    let policy = FaultPolicy {
+        deadline: std::time::Duration::from_secs(600),
+        secure,
+        ..FaultPolicy::default()
+    };
+    run_rounds_resilient(fleet, factory, config, links, &policy, None, None)
+        .unwrap()
+        .outcome
+}
+
 /// Leg 1: the in-process harness (`run_method`), no wire anywhere.
 fn run_in_process(config: &FedConfig) -> MethodOutcome {
     run_method(Method::FedProx, &clients(4), &factory(), config).unwrap()
@@ -97,15 +117,7 @@ fn run_channel(config: &FedConfig, secure: Option<SecureConfig>) -> MethodOutcom
     let fleet = clients(4);
     let factory = factory();
     let mut links = local_links(&fleet, &factory, config, secure).unwrap();
-    run_rounds_over(
-        Method::FedProx,
-        &fleet,
-        &factory,
-        config,
-        &mut links,
-        secure,
-    )
-    .unwrap()
+    run_over(&fleet, &factory, config, &mut links, secure)
 }
 
 /// Leg 3: every parameter set crosses a real Unix-domain socket; each
@@ -152,15 +164,7 @@ fn run_uds(config: &FedConfig, secure: Option<SecureConfig>, tag: &str) -> Metho
     let mut links: Vec<UdsTransport> = slots.into_iter().map(Option::unwrap).collect();
 
     let factory = factory();
-    let outcome = run_rounds_over(
-        Method::FedProx,
-        &fleet,
-        &factory,
-        config,
-        &mut links,
-        secure,
-    )
-    .unwrap();
+    let outcome = run_over(&fleet, &factory, config, &mut links, secure);
     for server in servers {
         server.join().unwrap();
     }
@@ -294,11 +298,11 @@ fn secure_aggregation_over_uds_is_reproducible_and_rank_identical_to_plain() {
 fn coordinator_with_eight_client_processes_matches_in_process_table() {
     use decentralized_routability::core::report::render_table;
     use decentralized_routability::core::{
-        build_experiment_clients, run_method_on_clients, transport_config, TableResult,
+        build_experiment_clients, run_method_on_clients, transport_config_with_rounds, TableResult,
     };
     use decentralized_routability::nn::models::ModelKind;
 
-    let config = transport_config(8, 42, true);
+    let config = transport_config_with_rounds(8, 42, true, None);
     let fleet = build_experiment_clients(&config).unwrap();
     let outcome =
         run_method_on_clients(Method::FedProx, &fleet, ModelKind::FlNet, &config).unwrap();
